@@ -144,6 +144,9 @@ class Core {
   // the arena span, and the forward-region boundary within the arena.
   // Exposed so state-corruption fuzz tests can flip arbitrary state bytes
   // (beyond single-FF flips) and assert the convergence compare sees them.
+  // A caller that mutates state through the view must restore() before
+  // stepping again: derived pipeline indices (e.g. the OoO wakeup index)
+  // are rebuilt from FF state there, not on every write.
   struct StateView {
     std::uint64_t* ff = nullptr;
     std::size_t ff_words = 0;

@@ -170,6 +170,7 @@ class OoOCore final : public Core {
   void do_rename();
   void do_fetch();
   void broadcast(std::uint64_t robid, std::uint32_t value);
+  void rebuild_waiters();
   [[nodiscard]] std::uint32_t rob_age(std::uint64_t robid) const {
     return static_cast<std::uint32_t>((robid - rob_head_) &
                                       (kRobSize - 1));
@@ -283,6 +284,12 @@ class OoOCore final : public Core {
   std::uint32_t last_flip_ff_ = 0;
   std::vector<PendingDet> dets_;
   RollbackRing ring_;
+  // Wakeup index, derived from the issue-queue FFs and never serialized:
+  // bit i of waiters_[t] is set iff IQ entry i is valid and its src1 waits
+  // on ROB tag t; bit kIqSize + i likewise for its src2.  Rename and
+  // broadcast keep it in step; rebuild_waiters() recomputes it wherever the
+  // FFs change wholesale (reset, restore, injected flips, IR rollback).
+  std::array<std::uint32_t, kRobSize> waiters_{};
 };
 
 void OoOCore::build() {
@@ -506,6 +513,7 @@ void OoOCore::reset(const isa::Program& prog, const ResilienceConfig* cfg,
   const bool ir = cfg != nullptr && (cfg->recovery == RecoveryKind::kIr ||
                                      cfg->recovery == RecoveryKind::kEir);
   ring_.reset(ir ? kRingDepth : 0);
+  rebuild_waiters();
 }
 
 void OoOCore::bind_shadow_hook() {
@@ -528,6 +536,7 @@ void OoOCore::apply_injections() {
     last_flip_ff_ = ff;
     ++next_flip_;
   }
+  rebuild_waiters();
   if (cfg_ == nullptr) return;
   std::vector<std::pair<std::int32_t, std::uint32_t>> group_hits;
   for (const std::uint32_t ff : struck) {
@@ -606,6 +615,7 @@ void OoOCore::attempt_recovery(DetectionSource src, std::uint32_t ff,
         fail_detected();
         return;
       }
+      rebuild_waiters();
       std::copy(rs.regs.begin(), rs.regs.end(), regs_);
       committed_ = rs.committed;
       out_.resize(rs.out_len);
@@ -624,6 +634,7 @@ void OoOCore::squash_all(std::uint32_t new_pc) {
   fb_tail_ = 0;
   fb_count_ = 0;
   for (int i = 0; i < kIqSize; ++i) iq_valid_[i] = 0;
+  waiters_.fill(0);
   for (int i = 0; i < kRobSize; ++i) {
     rob_valid_[i] = 0;
     rob_done_[i] = 0;
@@ -648,16 +659,27 @@ void OoOCore::squash_all(std::uint32_t new_pc) {
 void OoOCore::broadcast(std::uint64_t robid, std::uint32_t value) {
   rob_result_[robid & (kRobSize - 1)] = value;
   rob_done_[robid & (kRobSize - 1)] = 1;
+  // Wake only the sources the index lists for this tag.
+  std::uint32_t& waiting = waiters_[robid];
+  for (std::uint32_t m = waiting; m != 0; m &= m - 1) {
+    const int b = __builtin_ctz(m);
+    if (b < kIqSize) {
+      iq_s1val_[b] = value;
+      iq_s1rdy_[b] = 1;
+    } else {
+      iq_s2val_[b - kIqSize] = value;
+      iq_s2rdy_[b - kIqSize] = 1;
+    }
+  }
+  waiting = 0;
+}
+
+void OoOCore::rebuild_waiters() {
+  waiters_.fill(0);
   for (int i = 0; i < kIqSize; ++i) {
     if (iq_valid_[i] == 0) continue;
-    if (iq_s1rdy_[i] == 0 && iq_s1tag_[i] == robid) {
-      iq_s1val_[i] = value;
-      iq_s1rdy_[i] = 1;
-    }
-    if (iq_s2rdy_[i] == 0 && iq_s2tag_[i] == robid) {
-      iq_s2val_[i] = value;
-      iq_s2rdy_[i] = 1;
-    }
+    if (iq_s1rdy_[i] == 0) waiters_[iq_s1tag_[i]] |= 1u << i;
+    if (iq_s2rdy_[i] == 0) waiters_[iq_s2tag_[i]] |= 1u << (kIqSize + i);
   }
 }
 
@@ -1056,20 +1078,21 @@ void OoOCore::do_load_unit() {
 }
 
 void OoOCore::do_issue() {
-  // Oldest-first (by ROB age) selection of up to 2 ready entries.
-  std::array<int, kIqSize> cand{};
+  // Oldest-first (by ROB age) selection of up to 2 ready entries.  Keys
+  // are age << 4 | index: unique, so equal ages (only after an injected
+  // flip) keep index order.
+  static_assert(kIqSize == 16, "select keys hold the IQ index in 4 bits");
+  std::array<std::uint32_t, kIqSize> cand{};
   int n = 0;
   for (int i = 0; i < kIqSize; ++i) {
     if (iq_valid_[i] != 0 && iq_s1rdy_[i] != 0 && iq_s2rdy_[i] != 0) {
-      cand[n++] = i;
+      cand[n++] = rob_age(iq_robid_[i]) << 4 | static_cast<std::uint32_t>(i);
     }
   }
-  std::sort(cand.begin(), cand.begin() + n, [this](int l, int r) {
-    return rob_age(iq_robid_[l]) < rob_age(iq_robid_[r]);
-  });
+  std::sort(cand.begin(), cand.begin() + n);
   int issued = 0;
   for (int c = 0; c < n && issued < 2; ++c) {
-    const int i = cand[c];
+    const int i = static_cast<int>(cand[c] & (kIqSize - 1));
     const std::uint64_t opv = iq_op_[i];
     const Op op = valid_op(opv) ? static_cast<Op>(opv) : Op::kHalt;
 
@@ -1234,14 +1257,13 @@ void OoOCore::do_rename() {
     const auto dec = isa::decode(inst);
 
     const std::uint64_t robid = rob_tail_;
-    const bool need_iq = dec && !rename_only(dec->op);
     const bool need_stq = dec && isa::is_store(dec->op);
-    if (need_iq) {
-      bool has_iq = false;
-      for (int i = 0; i < kIqSize; ++i) {
-        if (iq_valid_[i] == 0) has_iq = true;
+    int iq = -1;  // free issue-queue slot, when the op needs one
+    if (dec && !rename_only(dec->op)) {
+      for (int i = 0; i < kIqSize && iq < 0; ++i) {
+        if (iq_valid_[i] == 0) iq = i;
       }
-      if (!has_iq) return;
+      if (iq < 0) return;
     }
     if (need_stq && stq_count_ >= kStqSize) return;
 
@@ -1297,14 +1319,6 @@ void OoOCore::do_rename() {
     }
 
     // Issue-queue entry with renamed sources.
-    int iq = -1;
-    for (int i = 0; i < kIqSize; ++i) {
-      if (iq_valid_[i] == 0) {
-        iq = i;
-        break;
-      }
-    }
-    if (iq < 0) return;  // defensive: free-entry scan raced an injected flip
     iq_valid_[iq] = 1;
     iq_op_[iq] = static_cast<std::uint64_t>(op);
     iq_rd_[iq] = dec->rd;
@@ -1344,6 +1358,8 @@ void OoOCore::do_rename() {
       iq_s2rdy_[iq] = 1;
       iq_s2val_[iq] = 0;
     }
+    if (iq_s1rdy_[iq] == 0) waiters_[iq_s1tag_[iq]] |= 1u << iq;
+    if (iq_s2rdy_[iq] == 0) waiters_[iq_s2tag_[iq]] |= 1u << (kIqSize + iq);
     if (need_stq) {
       const std::uint64_t si = stq_tail_;
       stq_valid_[si] = 1;
@@ -1417,7 +1433,6 @@ void OoOCore::do_fetch() {
     fb_count_ = static_cast<std::uint64_t>(fb_count_) + 1;
     rf1_f2_inst_[t & 7] = inst;  // decorative staging
     if (oob) {
-      fb_inst_[t] = 0;
       // Encode the fetch fault by making rename see an undecodable word:
       // opcode field 0x3f is invalid by construction.
       fb_inst_[t] = 0xFC000000u;
@@ -1508,6 +1523,7 @@ void OoOCore::restore(const CoreCheckpoint& cp, const InjectionPlan* plan) {
   arena_.restore_from(cp.state);  // copies only dirtied segments
   last_snap_ = cp.state;
   load_aux();
+  rebuild_waiters();
   out_spill_ = cp.output_spill;
   dets_ = cp.dets;
   ring_ = cp.ring;

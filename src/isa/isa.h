@@ -24,6 +24,7 @@
 #define CLEAR_ISA_ISA_H
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -60,8 +61,37 @@ inline constexpr int kOpCount = static_cast<int>(Op::kOpCount);
 
 enum class Format : std::uint8_t { kR, kI, kS, kB, kJ, kU, kX };
 
-[[nodiscard]] Format format_of(Op op) noexcept;
-[[nodiscard]] const char* mnemonic(Op op) noexcept;
+struct OpInfo {
+  const char* name;
+  Format format;
+};
+
+// The one op table, indexed by Op: mnemonic and encoding format.  Decode,
+// encode, disassembly and the assembler's mnemonic lookup all read it.
+inline constexpr OpInfo kOpTable[] = {
+    {"add", Format::kR},   {"sub", Format::kR},   {"and", Format::kR},
+    {"or", Format::kR},    {"xor", Format::kR},   {"sll", Format::kR},
+    {"srl", Format::kR},   {"sra", Format::kR},   {"slt", Format::kR},
+    {"sltu", Format::kR},  {"mul", Format::kR},   {"mulh", Format::kR},
+    {"div", Format::kR},   {"rem", Format::kR},   {"addi", Format::kI},
+    {"andi", Format::kI},  {"ori", Format::kI},   {"xori", Format::kI},
+    {"slti", Format::kI},  {"slli", Format::kI},  {"srli", Format::kI},
+    {"srai", Format::kI},  {"lui", Format::kU},   {"lw", Format::kI},
+    {"lb", Format::kI},    {"lbu", Format::kI},   {"sw", Format::kS},
+    {"sb", Format::kS},    {"beq", Format::kB},   {"bne", Format::kB},
+    {"blt", Format::kB},   {"bge", Format::kB},   {"bltu", Format::kB},
+    {"bgeu", Format::kB},  {"jal", Format::kJ},   {"jalr", Format::kI},
+    {"out", Format::kX},   {"halt", Format::kX},  {"det", Format::kX},
+    {"sigchk", Format::kX},
+};
+static_assert(std::size(kOpTable) == kOpCount, "kOpTable needs one row per Op");
+
+[[nodiscard]] constexpr Format format_of(Op op) noexcept {
+  return kOpTable[static_cast<int>(op)].format;
+}
+[[nodiscard]] constexpr const char* mnemonic(Op op) noexcept {
+  return kOpTable[static_cast<int>(op)].name;
+}
 // Parses a mnemonic; returns nullopt for unknown mnemonics.
 [[nodiscard]] std::optional<Op> op_from_mnemonic(const std::string& s) noexcept;
 
@@ -81,7 +111,60 @@ struct Instr {
 // Decodes a word.  Returns nullopt when the opcode field does not name a
 // valid instruction -- in the cores this raises an invalid-opcode trap,
 // which is one of the mechanisms by which injected flips become DUEs.
-[[nodiscard]] std::optional<Instr> decode(std::uint32_t word) noexcept;
+// Inline: every modelled cycle decodes at fetch and rename.
+[[nodiscard]] inline std::optional<Instr> decode(std::uint32_t word) noexcept {
+  const std::uint32_t opf = word >> 26;
+  if (opf >= static_cast<std::uint32_t>(kOpCount)) return std::nullopt;
+  const auto f25_21 = static_cast<std::uint8_t>((word >> 21) & 0x1f);
+  const auto f20_16 = static_cast<std::uint8_t>((word >> 16) & 0x1f);
+  const auto f15_11 = static_cast<std::uint8_t>((word >> 11) & 0x1f);
+  const auto sext16 = static_cast<std::int32_t>(static_cast<std::int16_t>(
+      word & 0xffff));
+  Instr ins;
+  ins.op = static_cast<Op>(opf);
+  switch (format_of(ins.op)) {
+    case Format::kR:
+      ins.rd = f25_21;
+      ins.rs1 = f20_16;
+      ins.rs2 = f15_11;
+      break;
+    case Format::kI:
+      ins.rd = f25_21;
+      ins.rs1 = f20_16;
+      // Logical immediates are zero-extended (so li/la lui+ori expansions
+      // compose); arithmetic/load immediates are sign-extended.
+      if (ins.op == Op::kAndi || ins.op == Op::kOri || ins.op == Op::kXori) {
+        ins.imm = static_cast<std::int32_t>(word & 0xffff);
+      } else {
+        ins.imm = sext16;
+      }
+      break;
+    case Format::kS:
+      ins.rs2 = f25_21;
+      ins.rs1 = f20_16;
+      ins.imm = sext16;
+      break;
+    case Format::kB:
+      ins.rs1 = f25_21;
+      ins.rs2 = f20_16;
+      ins.imm = sext16;
+      break;
+    case Format::kJ:
+      // imm21, sign-extended.
+      ins.rd = f25_21;
+      ins.imm = static_cast<std::int32_t>(word << 11) >> 11;
+      break;
+    case Format::kU:
+      ins.rd = f25_21;
+      ins.imm = static_cast<std::int32_t>(word & 0xffff);
+      break;
+    case Format::kX:
+      ins.rs1 = f20_16;
+      ins.imm = sext16;
+      break;
+  }
+  return ins;
+}
 
 [[nodiscard]] std::string disassemble(const Instr& ins);
 
@@ -108,15 +191,31 @@ enum class Trap : std::uint8_t {
                                      std::uint32_t b) noexcept;
 [[nodiscard]] bool branch_taken(Op op, std::uint32_t a,
                                 std::uint32_t b) noexcept;
-[[nodiscard]] bool is_load(Op op) noexcept;
-[[nodiscard]] bool is_store(Op op) noexcept;
-[[nodiscard]] bool is_branch(Op op) noexcept;
-[[nodiscard]] bool is_jump(Op op) noexcept;
-// True for ops whose rd is written (ALU, loads, jal/jalr, lui).
-[[nodiscard]] bool writes_rd(Op op) noexcept;
+[[nodiscard]] constexpr bool is_load(Op op) noexcept {
+  return op == Op::kLw || op == Op::kLb || op == Op::kLbu;
+}
+[[nodiscard]] constexpr bool is_store(Op op) noexcept {
+  return op == Op::kSw || op == Op::kSb;
+}
+[[nodiscard]] constexpr bool is_branch(Op op) noexcept {
+  return op >= Op::kBeq && op <= Op::kBgeu;
+}
+[[nodiscard]] constexpr bool is_jump(Op op) noexcept {
+  return op == Op::kJal || op == Op::kJalr;
+}
+// True for ops whose rd is written (ALU, loads, jal/jalr, lui): every
+// format but S, B and X (I-type covers ALU-imm, loads and jalr).
+[[nodiscard]] constexpr bool writes_rd(Op op) noexcept {
+  const Format f = format_of(op);
+  return f != Format::kS && f != Format::kB && f != Format::kX;
+}
 // True for mul/mulh (multi-cycle multiplier) and div/rem (iterative divider).
-[[nodiscard]] bool is_mul(Op op) noexcept;
-[[nodiscard]] bool is_div(Op op) noexcept;
+[[nodiscard]] constexpr bool is_mul(Op op) noexcept {
+  return op == Op::kMul || op == Op::kMulh;
+}
+[[nodiscard]] constexpr bool is_div(Op op) noexcept {
+  return op == Op::kDiv || op == Op::kRem;
+}
 
 }  // namespace clear::isa
 
