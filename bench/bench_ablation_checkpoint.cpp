@@ -1,7 +1,7 @@
 // Ablation (infrastructure, supporting Sec. 2.1's campaign methodology):
 // what the checkpoint/fork execution engine buys over re-simulating every
-// faulty run from cycle 0, and what the flat-arena COW snapshots buy over
-// naive deep-copy checkpointing.  The golden run is snapshotted at
+// faulty run from cycle 0, and what the flat-arena COW snapshots cost.
+// The golden run is snapshotted at
 // intervals; each faulty run forks from the snapshot nearest below its
 // injection cycle and terminates early once its full state re-converges to
 // the golden trajectory.  Results are bit-identical to the legacy path --
@@ -153,12 +153,11 @@ std::vector<AnatomyRow> print_checkpoint_anatomy() {
 
 struct SnapRow {
   std::string core, config;
-  double arena_ops = 0, legacy_ops = 0, ratio = 0;
+  double arena_ops = 0;
 };
 
 struct SnapPerf {
   std::vector<SnapRow> rows;
-  double worst_ratio = 0;
   std::size_t segments = 0, shared = 0;
   std::size_t logical_bytes = 0, resident_bytes = 0;
 };
@@ -178,56 +177,8 @@ double time_arena_pairs(arch::Core* core, int iters) {
   return dt > 0 ? iters / dt : 0;
 }
 
-// Cost model of the pre-arena checkpoint, reconstructed from the legacy
-// implementation this PR replaced: every snapshot materialized a fresh heap
-// vector per component (the FF registry's snapshot() returned its pool by
-// value; mem/regs/output/SRAM were copied field by field into the
-// checkpoint) and, with the monitor on, deep-copied the entire shadow
-// isa::Machine; restore copied every component back and cloned the Machine
-// a second time.  The model replays those allocations and copies against
-// the live state image so both paths move identical state bytes.
-double time_legacy_pairs(arch::Core* core, const isa::Machine* shadow_ref,
-                         int iters) {
-  arch::CoreCheckpoint cp;
-  core->snapshot(&cp);
-  const arch::Core::StateView v = core->state_view();
-  auto* bytes = reinterpret_cast<std::uint8_t*>(v.arena);
-  const std::size_t arena_bytes = v.arena_words * 8;
-  // Component boundaries from the real per-checkpoint accounting.
-  std::vector<std::size_t> cuts = {cp.sizes.scalars, cp.sizes.regs,
-                                   cp.sizes.mem,     cp.sizes.sram,
-                                   cp.sizes.output,  cp.sizes.aux};
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    // Snapshot: one fresh allocation + copy per component...
-    std::vector<std::uint64_t> ff(v.ff, v.ff + v.ff_words);
-    benchmark::DoNotOptimize(ff.data());
-    std::size_t off = 0;
-    for (const std::size_t c : cuts) {
-      const std::size_t len = std::min(c, arena_bytes - off);
-      std::vector<std::uint8_t> field(bytes + off, bytes + off + len);
-      benchmark::DoNotOptimize(field.data());
-      // ...restore: copy the component back.
-      std::memcpy(bytes + off, field.data(), len);
-      off += len;
-    }
-    std::copy(ff.begin(), ff.end(), v.ff);
-    if (shadow_ref != nullptr) {
-      // Monitor: full Machine clone at snapshot, another at restore.
-      auto snap_clone = std::make_unique<isa::Machine>(*shadow_ref);
-      benchmark::DoNotOptimize(snap_clone->memory().data());
-      auto restore_clone = std::make_unique<isa::Machine>(*snap_clone);
-      benchmark::DoNotOptimize(restore_clone->memory().data());
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double dt = std::chrono::duration<double>(t1 - t0).count();
-  return dt > 0 ? iters / dt : 0;
-}
-
-// Snapshot+restore throughput: arena COW path vs the legacy deep-copy cost
-// model, on the plain InO core and on the monitored OoO core (whose shadow
-// Machine deep copy used to dominate).  Also reports COW sharing across
+// Snapshot+restore throughput of the arena COW path on the plain InO core
+// and on the monitored OoO core.  Also reports COW sharing across
 // consecutive golden checkpoints.
 SnapPerf measure_snapshot_throughput() {
   SnapPerf p;
@@ -235,10 +186,8 @@ SnapPerf measure_snapshot_throughput() {
   arch::ResilienceConfig monitor_cfg;
   monitor_cfg.monitor = true;
   const int iters = 3000;
-  p.worst_ratio = 1e9;
 
-  bench::TextTable t({"Core", "Config", "Arena COW (ops/s)",
-                      "Legacy model (ops/s)", "Speedup"});
+  bench::TextTable t({"Core", "Config", "Arena COW (ops/s)"});
   const struct {
     const char* core;
     const char* label;
@@ -248,30 +197,13 @@ SnapPerf measure_snapshot_throughput() {
     auto core = arch::make_core(c.core);
     core->begin(prog, c.cfg, nullptr);
     core->step_to(2048, 1u << 20);
-    std::unique_ptr<isa::Machine> shadow_ref;
-    if (c.cfg != nullptr && c.cfg->monitor) {
-      // Stand-in for the legacy clone source: an architectural machine in
-      // the same program phase as the core's shadow checker.
-      shadow_ref = std::make_unique<isa::Machine>(prog);
-      for (int s = 0; s < 2048; ++s) {
-        if (!shadow_ref->step()) break;
-      }
-    }
     const double arena_ops = time_arena_pairs(core.get(), iters);
-    const double legacy_ops =
-        time_legacy_pairs(core.get(), shadow_ref.get(), iters);
-    const double ratio = legacy_ops > 0 ? arena_ops / legacy_ops : 0;
-    p.worst_ratio = std::min(p.worst_ratio, ratio);
-    char a[32], l[32];
+    char a[32];
     std::snprintf(a, sizeof(a), "%.0f", arena_ops);
-    std::snprintf(l, sizeof(l), "%.0f", legacy_ops);
-    t.add_row({c.core, c.label, a, l, util::TextTable::factor(ratio)});
-    p.rows.push_back({c.core, c.label, arena_ops, legacy_ops, ratio});
+    t.add_row({c.core, c.label, a});
+    p.rows.push_back({c.core, c.label, arena_ops});
   }
   t.print(std::cout);
-  std::printf("snapshot+restore throughput vs legacy deep-copy model,"
-              " worst case: %.1fx\n",
-              p.worst_ratio);
 
   // COW sharing across consecutive golden checkpoints.
   auto core = arch::make_core("InO");
@@ -396,9 +328,7 @@ void write_json(const std::vector<CampaignRow>& campaigns,
   for (std::size_t i = 0; i < perf.rows.size(); ++i) {
     const auto& r = perf.rows[i];
     out << "    {\"core\": \"" << r.core << "\", \"config\": \"" << r.config
-        << "\", \"arena_ops_per_s\": " << r.arena_ops
-        << ", \"legacy_model_ops_per_s\": " << r.legacy_ops
-        << ", \"ratio\": " << r.ratio << "}"
+        << "\", \"arena_ops_per_s\": " << r.arena_ops << "}"
         << (i + 1 < perf.rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"cow\": {\"segments\": " << perf.segments

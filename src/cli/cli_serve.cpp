@@ -20,11 +20,11 @@
 //
 // Protocol: engine/protocol.h; framing bytes in docs/FORMATS.md; flags
 // in docs/CONFIG.md.
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -97,12 +97,6 @@ serve::Hello server_hello(const std::string& name) {
 // wedging the worker in an uninterruptible ::send().  The client side
 // sends unbounded -- its frames are small and the daemon always reads.
 constexpr int kServerSendTimeoutMs = 30'000;
-
-bool send_frame(util::Socket* sock, serve::FrameType type,
-                const std::string& payload, int timeout_ms = -1) {
-  const std::string bytes = serve::encode_frame(type, payload);
-  return sock->send_all(bytes.data(), bytes.size(), timeout_ms);
-}
 
 // ---- server ----------------------------------------------------------------
 
@@ -243,14 +237,17 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
 // Services one connection (one thread per connection; `clear submit`
 // drivers and fleet drivers share the daemon).  Returns true when the
 // client requested a daemon shutdown.
-bool handle_connection(util::Socket conn, const serve::Hello& hello,
+bool handle_connection(util::Socket sock, const serve::Hello& hello,
                        bool quiet, int progress_ms, int heartbeat_ms) {
-  if (!send_frame(&conn, serve::FrameType::kHello,
-                  serve::encode_hello(hello), kServerSendTimeoutMs)) {
+  serve::FrameConn conn(std::move(sock));
+  const auto send = [&conn](serve::FrameType type,
+                            const std::string& payload) {
+    return conn.send(type, payload, kServerSendTimeoutMs);
+  };
+  if (!send(serve::FrameType::kHello, serve::encode_hello(hello))) {
     return false;
   }
 
-  std::string buf;
   std::deque<std::unique_ptr<ServedWork>> queue;
   bool peer_gone = false;
   bool shutdown = false;
@@ -273,9 +270,8 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
     // ---- service the front work item ---------------------------------------
     if (!queue.empty() && queue.front()->refused) {
       if (!peer_gone &&
-          !send_frame(&conn, serve::FrameType::kDone,
-                      serve::encode_done(queue.front()->refusal),
-                      kServerSendTimeoutMs)) {
+          !send(serve::FrameType::kDone,
+                serve::encode_done(queue.front()->refusal))) {
         peer_gone = true;
         cancel_all();
       }
@@ -289,8 +285,7 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
       if (!peer_gone && !front.revoked &&
           (!sent_any || !progress_equal(p, last_sent)) &&
           now - last_sent_at >= std::chrono::milliseconds(progress_ms)) {
-        if (!send_frame(&conn, serve::FrameType::kProgress,
-                        serve::encode_progress(p), kServerSendTimeoutMs)) {
+        if (!send(serve::FrameType::kProgress, serve::encode_progress(p))) {
           peer_gone = true;
           cancel_all();
         }
@@ -309,9 +304,8 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
         if (!peer_gone) {
           serve::Done done;
           if (front.is_explore()) {
-            send_frame(&conn, serve::FrameType::kProgress,
-                       serve::encode_progress(front_progress(&front)),
-                       kServerSendTimeoutMs);
+            send(serve::FrameType::kProgress,
+                 serve::encode_progress(front_progress(&front)));
             if (front.explore_was_cancelled) {
               done.outcome = serve::JobOutcome::kCancelled;
               done.message = "exploration cancelled";
@@ -322,27 +316,23 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
               done.outcome = serve::JobOutcome::kFailed;
               done.message = front.explore_error;
             } else {
-              send_frame(&conn, serve::FrameType::kResult,
-                         serve::encode_result(0, front.explore_result),
-                         kServerSendTimeoutMs);
+              send(serve::FrameType::kResult,
+                   serve::encode_result(0, front.explore_result));
               done.outcome = serve::JobOutcome::kOk;
             }
           } else {
             const engine::JobState state = front.job.state();
             // Final snapshot, then the payload frames.
-            send_frame(&conn, serve::FrameType::kProgress,
-                       serve::encode_progress(front.job.progress()),
-                       kServerSendTimeoutMs);
+            send(serve::FrameType::kProgress,
+                 serve::encode_progress(front.job.progress()));
             if (state == engine::JobState::kDone) {
               const auto& results = front.job.results();
               for (std::size_t i = 0; i < results.size(); ++i) {
                 const inject::ShardFile shard =
                     plan::plan_shard_file(front.plans[i], results[i]);
-                send_frame(
-                    &conn, serve::FrameType::kResult,
-                    serve::encode_result(static_cast<std::uint32_t>(i),
-                                         inject::encode_shard(shard)),
-                    kServerSendTimeoutMs);
+                send(serve::FrameType::kResult,
+                     serve::encode_result(static_cast<std::uint32_t>(i),
+                                          inject::encode_shard(shard)));
               }
               done.outcome = serve::JobOutcome::kOk;
             } else if (state == engine::JobState::kCancelled) {
@@ -359,8 +349,7 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
               }
             }
           }
-          if (!send_frame(&conn, serve::FrameType::kDone,
-                          serve::encode_done(done), kServerSendTimeoutMs)) {
+          if (!send(serve::FrameType::kDone, serve::encode_done(done))) {
             peer_gone = true;
             cancel_all();
           }
@@ -385,11 +374,10 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
         // heartbeat carries this worker's metric snapshot so the fleet
         // driver (and `clear status`) see cache/latency/engine state
         // without a side channel.
-        if (!send_frame(&conn, serve::FrameType::kHeartbeat,
-                        serve::encode_heartbeat(
-                            static_cast<std::uint32_t>(queue.size()),
-                            obs::encode_snapshot(obs::snapshot())),
-                        kServerSendTimeoutMs)) {
+        if (!send(serve::FrameType::kHeartbeat,
+                  serve::encode_heartbeat(
+                      static_cast<std::uint32_t>(queue.size()),
+                      obs::encode_snapshot(obs::snapshot())))) {
           peer_gone = true;
           cancel_all();
         }
@@ -402,27 +390,23 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
       if (peer_gone) {
         // A failed send (e.g. a heartbeat racing the driver's close)
         // set peer_gone, but a shutdown frame may already sit in the
-        // kernel buffer or in buf: the driver sends kShutdown and
-        // closes in one motion.  Drain without blocking and honour it,
+        // kernel buffer or in conn's receive buffer: the driver sends
+        // kShutdown and closes in one motion.  Drain without blocking and honour it,
         // otherwise the daemon outlives the fleet that owned it.
-        while (conn.readable(0)) {
-          char chunk[4096];
-          const long n = conn.recv_some(chunk, sizeof(chunk));
-          if (n <= 0) break;
-          buf.append(chunk, static_cast<std::size_t>(n));
-        }
         serve::Frame frame;
-        while (serve::decode_frame(&buf, &frame) == serve::FrameStatus::kOk) {
+        while (conn.recv(&frame, 0) == serve::FrameConn::Status::kFrame) {
           if (frame.type == serve::FrameType::kShutdown) {
             g_shutdown.store(true, std::memory_order_relaxed);
           }
         }
         break;
       }
-      if (shutdown && buf.empty()) break;
+      if (shutdown && !conn.buffered()) break;
       // A sibling connection shut the daemon down: drain instead of
       // keeping the accept loop's join waiting on an idle client.
-      if (g_shutdown.load(std::memory_order_relaxed) && buf.empty()) break;
+      if (g_shutdown.load(std::memory_order_relaxed) && !conn.buffered()) {
+        break;
+      }
     }
 
     // ---- pump the socket ----------------------------------------------------
@@ -437,137 +421,125 @@ bool handle_connection(util::Socket conn, const serve::Hello& hello,
       }
       continue;
     }
-    if (!conn.readable(20)) continue;
-    char chunk[4096];
-    const long n = conn.recv_some(chunk, sizeof(chunk));
-    if (n <= 0) {
-      // Driver vanished: nobody will consume these results -- stop the
-      // work instead of burning the worker on a dead connection.
+    serve::Frame frame;
+    const serve::FrameConn::Status st = conn.recv(&frame, 20);
+    if (st == serve::FrameConn::Status::kTimeout) continue;
+    if (st != serve::FrameConn::Status::kFrame) {
+      if (st == serve::FrameConn::Status::kBad) {
+        std::fprintf(stderr, "clear serve: protocol error, dropping "
+                             "connection\n");
+      }
+      // Driver vanished (or garbled its stream): nobody will consume
+      // these results -- stop the work instead of burning the worker on
+      // a dead connection.
       peer_gone = true;
       cancel_all();
       continue;
     }
-    buf.append(chunk, static_cast<std::size_t>(n));
-
-    for (;;) {
-      serve::Frame frame;
-      const serve::FrameStatus st = serve::decode_frame(&buf, &frame);
-      if (st == serve::FrameStatus::kNeedMore) break;
-      if (st == serve::FrameStatus::kBad) {
-        std::fprintf(stderr, "clear serve: protocol error, dropping "
-                             "connection\n");
-        peer_gone = true;
-        cancel_all();
+    switch (frame.type) {
+      case serve::FrameType::kJob: {
+        serve::JobRequest req;
+        auto served = std::make_unique<ServedWork>();
+        if (!serve::decode_job(frame.payload, &req)) {
+          served->refused = true;
+          served->refusal.outcome = serve::JobOutcome::kBadRequest;
+          served->refusal.message = "clear serve: malformed job frame";
+          queue.push_back(std::move(served));
+          break;
+        }
+        submit_campaigns(served.get(), req.manifest, req.priority);
+        if (!quiet && !served->refused) {
+          std::printf("serve      job #%llu accepted: %zu campaigns "
+                      "(%s lane)\n",
+                      static_cast<unsigned long long>(served->job.id()),
+                      served->plans.size(),
+                      req.priority == engine::JobPriority::kBulk
+                          ? "bulk"
+                          : "interactive");
+          std::fflush(stdout);
+        }
+        queue.push_back(std::move(served));
         break;
       }
-      switch (frame.type) {
-        case serve::FrameType::kJob: {
-          serve::JobRequest req;
-          auto served = std::make_unique<ServedWork>();
-          if (!serve::decode_job(frame.payload, &req)) {
-            served->refused = true;
-            served->refusal.outcome = serve::JobOutcome::kBadRequest;
-            served->refusal.message = "clear serve: malformed job frame";
-            queue.push_back(std::move(served));
-            break;
-          }
-          submit_campaigns(served.get(), req.manifest, req.priority);
-          if (!quiet && !served->refused) {
-            std::printf("serve      job #%llu accepted: %zu campaigns "
-                        "(%s lane)\n",
-                        static_cast<unsigned long long>(served->job.id()),
-                        served->plans.size(),
-                        req.priority == engine::JobPriority::kBulk
-                            ? "bulk"
-                            : "interactive");
-            std::fflush(stdout);
-          }
-          queue.push_back(std::move(served));
+      case serve::FrameType::kShardAssign: {
+        serve::ShardAssign assign;
+        if (!serve::decode_shard_assign(frame.payload, &assign)) {
+          std::fprintf(stderr,
+                       "clear serve: malformed shard-assign frame\n");
+          peer_gone = true;
+          cancel_all();
           break;
         }
-        case serve::FrameType::kShardAssign: {
-          serve::ShardAssign assign;
-          if (!serve::decode_shard_assign(frame.payload, &assign)) {
-            std::fprintf(stderr,
-                         "clear serve: malformed shard-assign frame\n");
-            peer_gone = true;
-            cancel_all();
-            break;
-          }
-          // Ack immediately: the driver's ack deadline measures whether
-          // this worker is responsive, not how long the shard takes.
-          serve::ShardAck ack;
-          ack.shard_id = assign.shard_id;
-          ack.status = serve::ShardAckStatus::kAccepted;
-          if (!send_frame(&conn, serve::FrameType::kShardAck,
-                          serve::encode_shard_ack(ack),
-                          kServerSendTimeoutMs)) {
-            peer_gone = true;
-            cancel_all();
-            break;
-          }
-          auto served = std::make_unique<ServedWork>();
-          served->is_shard = true;
-          served->shard_id = assign.shard_id;
-          served->kind = assign.kind;
-          if (assign.kind == serve::ShardKind::kExplore) {
-            start_explore(served.get(), assign.text);
-          } else {
-            submit_campaigns(served.get(), assign.text, assign.priority);
-          }
-          if (!quiet) {
-            std::printf("serve      shard #%llu accepted (%s)\n",
-                        static_cast<unsigned long long>(assign.shard_id),
-                        assign.kind == serve::ShardKind::kExplore
-                            ? "explore"
-                            : "campaign");
-            std::fflush(stdout);
-          }
-          queue.push_back(std::move(served));
+        // Ack immediately: the driver's ack deadline measures whether
+        // this worker is responsive, not how long the shard takes.
+        serve::ShardAck ack;
+        ack.shard_id = assign.shard_id;
+        ack.status = serve::ShardAckStatus::kAccepted;
+        if (!send(serve::FrameType::kShardAck,
+                  serve::encode_shard_ack(ack))) {
+          peer_gone = true;
+          cancel_all();
           break;
         }
-        case serve::FrameType::kSteal: {
-          std::uint64_t shard_id = 0;
-          if (!serve::decode_steal(frame.payload, &shard_id)) {
-            std::fprintf(stderr, "clear serve: malformed steal frame\n");
-            peer_gone = true;
-            cancel_all();
-            break;
-          }
-          serve::ShardAck ack;
-          ack.shard_id = shard_id;
-          ack.status = serve::ShardAckStatus::kUnknown;
-          for (auto& work : queue) {
-            if (work->is_shard && work->shard_id == shard_id &&
-                !work->revoked) {
-              // Revoke: cancel the execution and promise the driver no
-              // kDone -- it is free to re-dispatch immediately.
-              work->revoked = true;
-              work->cancel();
-              ack.status = serve::ShardAckStatus::kRevoked;
-              break;
-            }
-          }
-          if (!send_frame(&conn, serve::FrameType::kShardAck,
-                          serve::encode_shard_ack(ack),
-                          kServerSendTimeoutMs)) {
-            peer_gone = true;
-            cancel_all();
-          }
-          break;
+        auto served = std::make_unique<ServedWork>();
+        served->is_shard = true;
+        served->shard_id = assign.shard_id;
+        served->kind = assign.kind;
+        if (assign.kind == serve::ShardKind::kExplore) {
+          start_explore(served.get(), assign.text);
+        } else {
+          submit_campaigns(served.get(), assign.text, assign.priority);
         }
-        case serve::FrameType::kCancel:
-          if (!queue.empty()) queue.front()->cancel();
-          break;
-        case serve::FrameType::kShutdown:
-          shutdown = true;
-          g_shutdown.store(true, std::memory_order_relaxed);
-          break;
-        default:
-          // Server-direction frames from a confused client: ignore.
-          break;
+        if (!quiet) {
+          std::printf("serve      shard #%llu accepted (%s)\n",
+                      static_cast<unsigned long long>(assign.shard_id),
+                      assign.kind == serve::ShardKind::kExplore
+                          ? "explore"
+                          : "campaign");
+          std::fflush(stdout);
+        }
+        queue.push_back(std::move(served));
+        break;
       }
-      if (peer_gone) break;
+      case serve::FrameType::kSteal: {
+        std::uint64_t shard_id = 0;
+        if (!serve::decode_steal(frame.payload, &shard_id)) {
+          std::fprintf(stderr, "clear serve: malformed steal frame\n");
+          peer_gone = true;
+          cancel_all();
+          break;
+        }
+        serve::ShardAck ack;
+        ack.shard_id = shard_id;
+        ack.status = serve::ShardAckStatus::kUnknown;
+        for (auto& work : queue) {
+          if (work->is_shard && work->shard_id == shard_id &&
+              !work->revoked) {
+            // Revoke: cancel the execution and promise the driver no
+            // kDone -- it is free to re-dispatch immediately.
+            work->revoked = true;
+            work->cancel();
+            ack.status = serve::ShardAckStatus::kRevoked;
+            break;
+          }
+        }
+        if (!send(serve::FrameType::kShardAck,
+                  serve::encode_shard_ack(ack))) {
+          peer_gone = true;
+          cancel_all();
+        }
+        break;
+      }
+      case serve::FrameType::kCancel:
+        if (!queue.empty()) queue.front()->cancel();
+        break;
+      case serve::FrameType::kShutdown:
+        shutdown = true;
+        g_shutdown.store(true, std::memory_order_relaxed);
+        break;
+      default:
+        // Server-direction frames from a confused client: ignore.
+        break;
     }
   }
   return shutdown;
@@ -658,59 +630,16 @@ int serve_fanout(int workers, bool have_socket, const std::string& base_path,
 
 // ---- client helpers --------------------------------------------------------
 
-// Reads frames until one arrives; false on EOF/protocol error.
-bool recv_frame(util::Socket* sock, std::string* buf, serve::Frame* out,
-                std::string* error) {
-  for (;;) {
-    const serve::FrameStatus st = serve::decode_frame(buf, out);
-    if (st == serve::FrameStatus::kOk) return true;
-    if (st == serve::FrameStatus::kBad) {
-      *error = "protocol error (bad frame)";
-      return false;
-    }
-    char chunk[4096];
-    const long n = sock->recv_some(chunk, sizeof(chunk));
-    if (n <= 0) {
-      *error = "connection closed by server";
-      return false;
-    }
-    buf->append(chunk, static_cast<std::size_t>(n));
+// Why a FrameConn::recv returned no frame, for `clear submit`'s errors.
+const char* recv_failure(serve::FrameConn::Status st) {
+  switch (st) {
+    case serve::FrameConn::Status::kTimeout: return "timed out";
+    case serve::FrameConn::Status::kClosed:
+      return "connection closed by server";
+    case serve::FrameConn::Status::kBad: return "protocol error (bad frame)";
+    case serve::FrameConn::Status::kFrame: break;
   }
-}
-
-// Deadline-bounded recv_frame: a server that accepted the connection but
-// never speaks (wedged daemon, wrong service on the port) must not hang
-// the client forever.
-bool recv_frame_deadline(util::Socket* sock, std::string* buf,
-                         serve::Frame* out, int timeout_ms,
-                         std::string* error) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const serve::FrameStatus st = serve::decode_frame(buf, out);
-    if (st == serve::FrameStatus::kOk) return true;
-    if (st == serve::FrameStatus::kBad) {
-      *error = "protocol error (bad frame)";
-      return false;
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) {
-      *error = "timed out after " + std::to_string(timeout_ms) + " ms";
-      return false;
-    }
-    if (!sock->readable(static_cast<int>(
-            std::min<long long>(left.count(), 100)))) {
-      continue;
-    }
-    char chunk[4096];
-    const long n = sock->recv_some(chunk, sizeof(chunk));
-    if (n <= 0) {
-      *error = "connection closed by server";
-      return false;
-    }
-    buf->append(chunk, static_cast<std::size_t>(n));
-  }
+  return "unexpected frame";
 }
 
 }  // namespace
@@ -916,6 +845,7 @@ int cmd_submit(int argc, const char* const* argv) {
   if (!args.get_u64("port", 0, &port) || port > 65535 ||
       !args.get_u64("connect-retry-ms", 5000, &retry_ms) ||
       !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
+      hello_ms > static_cast<std::uint64_t>(INT_MAX) ||
       !args.get_u64("cancel-after", 0, &cancel_after)) {
     std::fprintf(stderr, "clear submit: bad numeric flag value\n");
     return 2;
@@ -931,29 +861,35 @@ int cmd_submit(int argc, const char* const* argv) {
   std::ostringstream manifest;
   manifest << spec_in.rdbuf();
 
-  util::Socket sock;
+  serve::FrameConn conn;
   try {
     // connect_* retries ECONNREFUSED/ENOENT with exponential backoff up
     // to the budget: a daemon still binding its socket is a race, not an
     // error.
-    sock = have_socket
-               ? util::Socket::connect_unix(args.get("socket"),
-                                            static_cast<int>(retry_ms))
-               : util::Socket::connect_tcp_loopback(
-                     static_cast<std::uint16_t>(port),
-                     static_cast<int>(retry_ms));
+    conn = serve::FrameConn(
+        have_socket ? util::Socket::connect_unix(args.get("socket"),
+                                                 static_cast<int>(retry_ms))
+                    : util::Socket::connect_tcp_loopback(
+                          static_cast<std::uint16_t>(port),
+                          static_cast<int>(retry_ms)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "clear submit: %s\n", e.what());
     return 1;
   }
 
-  std::string buf;
+  // A server that accepted the connection but never speaks (wedged
+  // daemon, wrong service on the port) must not hang the client forever.
   serve::Frame frame;
-  if (!recv_frame_deadline(&sock, &buf, &frame, static_cast<int>(hello_ms),
-                           &error) ||
+  const serve::FrameConn::Status hello_st =
+      conn.recv(&frame, static_cast<int>(hello_ms));
+  if (hello_st != serve::FrameConn::Status::kFrame ||
       frame.type != serve::FrameType::kHello) {
+    const std::string why =
+        hello_st == serve::FrameConn::Status::kTimeout
+            ? "timed out after " + std::to_string(hello_ms) + " ms"
+            : recv_failure(hello_st);
     std::fprintf(stderr, "clear submit: no hello from server (%s)\n",
-                 error.c_str());
+                 why.c_str());
     return 1;
   }
   serve::Hello hello;
@@ -975,12 +911,12 @@ int cmd_submit(int argc, const char* const* argv) {
   serve::JobRequest req;
   req.priority = priority;
   req.manifest = manifest.str();
-  if (!send_frame(&sock, serve::FrameType::kJob, serve::encode_job(req))) {
+  if (!conn.send(serve::FrameType::kJob, serve::encode_job(req))) {
     std::fprintf(stderr, "clear submit: send failed\n");
     return 1;
   }
   if (args.has("shutdown")) {
-    send_frame(&sock, serve::FrameType::kShutdown, "");
+    conn.send(serve::FrameType::kShutdown, "");
   }
 
   std::vector<std::pair<std::uint32_t, std::string>> results;
@@ -988,8 +924,9 @@ int cmd_submit(int argc, const char* const* argv) {
   std::uint64_t progress_frames = 0;
   bool cancel_sent = false;
   for (;;) {
-    if (!recv_frame(&sock, &buf, &frame, &error)) {
-      std::fprintf(stderr, "clear submit: %s\n", error.c_str());
+    const serve::FrameConn::Status st = conn.recv(&frame, -1);
+    if (st != serve::FrameConn::Status::kFrame) {
+      std::fprintf(stderr, "clear submit: %s\n", recv_failure(st));
       return 1;
     }
     if (frame.type == serve::FrameType::kProgress) {
@@ -1006,7 +943,7 @@ int cmd_submit(int argc, const char* const* argv) {
       ++progress_frames;
       if (cancel_after != 0 && !cancel_sent &&
           progress_frames >= cancel_after) {
-        send_frame(&sock, serve::FrameType::kCancel, "");
+        conn.send(serve::FrameType::kCancel, "");
         cancel_sent = true;
       }
     } else if (frame.type == serve::FrameType::kResult) {
@@ -1054,10 +991,10 @@ int cmd_submit(int argc, const char* const* argv) {
     }
     const std::string path =
         out_dir + "/campaign" + std::to_string(index) + ".csr";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(csr.data(), static_cast<std::streamsize>(csr.size()));
-    if (!out.flush()) {
-      std::fprintf(stderr, "clear submit: cannot write %s\n", path.c_str());
+    try {
+      inject::write_shard_file(path, shard);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "clear submit: %s\n", e.what());
       return 1;
     }
     if (!quiet) {

@@ -7,7 +7,8 @@
 // `clear run --spec` grammar), watches progress events stream back, and
 // receives each campaign's result as `.csr` wire bytes (inject/wire.h) it
 // can hand straight to `clear merge`.  docs/FORMATS.md specifies the
-// byte-level framing; docs/ARCHITECTURE.md the data flow.
+// byte-level framing; docs/ARCHITECTURE.md the data flow.  FrameConn
+// (below) is the one read/write path every endpoint uses.
 //
 // Design rules (shared with the on-disk formats):
 //   * little-endian fixed-width integers,
@@ -54,8 +55,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "engine/engine.h"
+#include "util/socket.h"
 
 namespace clear::serve {
 
@@ -124,6 +127,40 @@ enum class FrameStatus : std::uint8_t {
 // Consumes one frame from the front of `buffer` on kOk; otherwise the
 // buffer is untouched.  Never reads outside it.
 [[nodiscard]] FrameStatus decode_frame(std::string* buffer, Frame* out);
+
+// One framed CSV1 connection: a socket plus its receive buffer.  The
+// daemon's connection handler, `clear submit`, the fleet driver and
+// `clear status` all read and write frames through this class and
+// nothing else.
+class FrameConn {
+ public:
+  enum class Status : std::uint8_t {
+    kFrame,    // *out holds the next frame
+    kTimeout,  // no whole frame in time; a partial one stays buffered
+    kClosed,   // the peer closed or the read failed: no more frames
+    kBad,      // unknown type, over-long length or checksum mismatch --
+               // the stream is unrecoverable, drop the peer
+  };
+
+  FrameConn() = default;
+  explicit FrameConn(util::Socket sock) : sock_(std::move(sock)) {}
+
+  // Returns an already-buffered frame at once.  Otherwise reads until a
+  // frame completes, the peer closes, the stream goes bad or timeout_ms
+  // passes (-1 = no limit, 0 = only what is readable now).
+  [[nodiscard]] Status recv(Frame* out, int timeout_ms);
+  // Writes one whole frame; false on error, or when the peer stops
+  // draining for timeout_ms (-1 = no limit; see Socket::send_all).
+  bool send(FrameType type, const std::string& payload, int timeout_ms = -1);
+
+  // True while received bytes of a frame not yet returned are held.
+  [[nodiscard]] bool buffered() const noexcept { return !rx_.empty(); }
+  [[nodiscard]] util::Socket& socket() noexcept { return sock_; }
+
+ private:
+  util::Socket sock_;
+  std::string rx_;
+};
 
 // ---- typed payloads --------------------------------------------------------
 

@@ -1,6 +1,5 @@
 #include "fleet/fleet.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -426,8 +425,7 @@ const char* worker_state_name(WorkerState s) noexcept {
 namespace {
 
 struct WorkerConn {
-  util::Socket sock;
-  std::string rx;  // framed receive buffer
+  serve::FrameConn conn;
   WorkerStatus status;
   bool has_shard = false;   // a shard is dispatched (possibly unacked)
   std::size_t shard_pos = 0;  // index into the shards vector
@@ -529,58 +527,35 @@ void Driver::register_workers() {
     wc.status.endpoint = endpoints_[w].display();
     wc.status.state = WorkerState::kDead;  // until the hello lands
     try {
-      wc.sock = endpoints_[w].socket_path.empty()
-                    ? util::Socket::connect_tcp_loopback(
-                          endpoints_[w].port, opts_.connect_retry_ms)
-                    : util::Socket::connect_unix(endpoints_[w].socket_path,
-                                                 opts_.connect_retry_ms);
+      wc.conn = serve::FrameConn(
+          endpoints_[w].socket_path.empty()
+              ? util::Socket::connect_tcp_loopback(endpoints_[w].port,
+                                                   opts_.connect_retry_ms)
+              : util::Socket::connect_unix(endpoints_[w].socket_path,
+                                           opts_.connect_retry_ms));
     } catch (const std::runtime_error&) {
       continue;  // unreachable endpoint: proceed with the rest
     }
     // Hello deadline: a server that accepts but never speaks must not
-    // hang the whole fleet.
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(opts_.hello_timeout_ms);
-    bool registered = false;
-    while (!registered) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - Clock::now());
-      if (left.count() <= 0) break;
-      if (!wc.sock.readable(static_cast<int>(
-              std::min<long long>(left.count(), 100)))) {
-        continue;
-      }
-      char buf[4096];
-      const long n = wc.sock.recv_some(buf, sizeof(buf));
-      if (n <= 0) break;
-      wc.rx.append(buf, static_cast<std::size_t>(n));
-      serve::Frame frame;
-      const serve::FrameStatus st = serve::decode_frame(&wc.rx, &frame);
-      if (st == serve::FrameStatus::kNeedMore) continue;
-      if (st != serve::FrameStatus::kOk ||
-          frame.type != serve::FrameType::kHello) {
-        break;
-      }
-      serve::Hello hello;
-      if (!serve::decode_hello(frame.payload, &hello) ||
-          hello.proto_version != serve::kProtoVersion ||
-          hello.wire_version != inject::kWireVersion ||
-          hello.ledger_version != explore::kLedgerVersion) {
-        break;  // version skew: this worker cannot serve this fleet
-      }
-      wc.status.name = hello.name.empty()
-                           ? wc.status.endpoint
-                           : hello.name;
-      wc.status.capacity = hello.capacity;
-      wc.status.state = WorkerState::kIdle;
-      wc.last_seen = Clock::now();
-      registered = true;
+    // hang the whole fleet.  Version skew means this worker cannot serve
+    // this fleet.
+    serve::Frame frame;
+    serve::Hello hello;
+    if (wc.conn.recv(&frame, opts_.hello_timeout_ms) !=
+            serve::FrameConn::Status::kFrame ||
+        frame.type != serve::FrameType::kHello ||
+        !serve::decode_hello(frame.payload, &hello) ||
+        hello.proto_version != serve::kProtoVersion ||
+        hello.wire_version != inject::kWireVersion ||
+        hello.ledger_version != explore::kLedgerVersion) {
+      wc.conn.socket().close();
+      continue;
     }
-    if (registered) {
-      emit(FleetEvent::Kind::kWorkerUp, w, 0);
-    } else {
-      wc.sock.close();
-    }
+    wc.status.name = hello.name.empty() ? wc.status.endpoint : hello.name;
+    wc.status.capacity = hello.capacity;
+    wc.status.state = WorkerState::kIdle;
+    wc.last_seen = Clock::now();
+    emit(FleetEvent::Kind::kWorkerUp, w, 0);
   }
 }
 
@@ -600,7 +575,7 @@ void Driver::declare_dead(std::size_t w, const char* why) {
   const std::uint64_t inflight_shard =
       wc.has_shard ? shards_[wc.shard_pos].id : 0;
   wc.status.state = WorkerState::kDead;
-  wc.sock.close();
+  wc.conn.socket().close();
   ++workers_lost_;
   metrics().workers_dead.add();
   if (wc.has_shard) requeue(w);
@@ -654,9 +629,8 @@ void Driver::assign_idle() {
     assign.kind = shards_[pos].kind;
     assign.priority = opts_.priority;
     assign.text = shards_[pos].text;
-    const std::string bytes = serve::encode_frame(
-        serve::FrameType::kShardAssign, serve::encode_shard_assign(assign));
-    if (!wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs)) {
+    if (!wc.conn.send(serve::FrameType::kShardAssign,
+                      serve::encode_shard_assign(assign), kSendTimeoutMs)) {
       queue_.push_front(pos);
       declare_dead(w, "send failed");
       continue;
@@ -687,9 +661,9 @@ void Driver::check_deadlines(Clock::time_point now) {
       // The worker stays registered (frames still count against the dead
       // deadline) but gets no new work until the steal resolves.
       const std::size_t pos = wc.shard_pos;
-      const std::string bytes = serve::encode_frame(
-          serve::FrameType::kSteal, serve::encode_steal(shards_[pos].id));
-      if (!wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs)) {
+      if (!wc.conn.send(serve::FrameType::kSteal,
+                        serve::encode_steal(shards_[pos].id),
+                        kSendTimeoutMs)) {
         declare_dead(w, "send failed");
         continue;
       }
@@ -909,24 +883,24 @@ void Driver::maybe_write_status(Clock::time_point now, bool force) {
   if (ec) std::filesystem::remove(tmp, ec);
 }
 
+// Called when worker w's socket is readable: handles every frame that
+// arrived.  Any arriving bytes, a partial frame included, refresh
+// last_seen.
 void Driver::pump(std::size_t w) {
   WorkerConn& wc = workers_[w];
-  char buf[65536];
-  const long n = wc.sock.recv_some(buf, sizeof(buf));
-  if (n <= 0) {
-    declare_dead(w, n == 0 ? "connection closed" : "receive error");
-    return;
-  }
-  wc.rx.append(buf, static_cast<std::size_t>(n));
-  wc.last_seen = Clock::now();
   for (;;) {
     serve::Frame frame;
-    const serve::FrameStatus st = serve::decode_frame(&wc.rx, &frame);
-    if (st == serve::FrameStatus::kNeedMore) break;
-    if (st == serve::FrameStatus::kBad) {
+    const serve::FrameConn::Status st = wc.conn.recv(&frame, 0);
+    if (st == serve::FrameConn::Status::kClosed) {
+      declare_dead(w, "connection closed");
+      return;
+    }
+    if (st == serve::FrameConn::Status::kBad) {
       declare_dead(w, "bad frame");
       return;
     }
+    wc.last_seen = Clock::now();
+    if (st == serve::FrameConn::Status::kTimeout) return;
     handle_frame(w, frame);
     if (wc.status.state == WorkerState::kDead) return;
   }
@@ -951,7 +925,7 @@ FleetReport Driver::run() {
     std::vector<const util::Socket*> socks(workers_.size(), nullptr);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (workers_[w].status.state != WorkerState::kDead) {
-        socks[w] = &workers_[w].sock;
+        socks[w] = &workers_[w].conn.socket();
       }
     }
     const int ready = util::Socket::wait_any(socks.data(), socks.size(), 50);
@@ -962,24 +936,26 @@ FleetReport Driver::run() {
   }
   maybe_write_status(Clock::now(), /*force=*/true);
   if (opts_.shutdown_workers) {
-    const std::string bytes =
-        serve::encode_frame(serve::FrameType::kShutdown, "");
     for (WorkerConn& wc : workers_) {
       if (wc.status.state == WorkerState::kDead) continue;
-      (void)wc.sock.send_all(bytes.data(), bytes.size(), kSendTimeoutMs);
+      (void)wc.conn.send(serve::FrameType::kShutdown, "", kSendTimeoutMs);
     }
     // Linger until each worker closes its end.  The worker keeps
     // heartbeating until it decodes the shutdown frame; if we close
     // first, a heartbeat send can fail and make the worker drop the
     // connection without draining its receive buffer -- the shutdown
-    // frame would be lost and the daemon would stay up.
+    // frame would be lost and the daemon would stay up.  Frames still in
+    // flight are read and dropped.
     for (WorkerConn& wc : workers_) {
       if (wc.status.state == WorkerState::kDead) continue;
       const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
-      char scratch[4096];
-      while (Clock::now() < deadline) {
-        if (!wc.sock.readable(100)) continue;
-        if (wc.sock.recv_some(scratch, sizeof(scratch)) <= 0) break;
+      serve::Frame frame;
+      for (;;) {
+        const int left = ms_since(Clock::now(), deadline);
+        if (left <= 0 || wc.conn.recv(&frame, left) !=
+                             serve::FrameConn::Status::kFrame) {
+          break;
+        }
       }
     }
   }

@@ -41,8 +41,7 @@ inline void check_cancel(const std::atomic<bool>* cancel) {
 
 // v4: checkpoint/fork execution engine (results are bit-identical to v3,
 // but the bump invalidates caches written by builds without the hardened
-// loader below).  The payload format is unchanged by the pack store, so
-// migrated v4 `.camp` entries stay valid.
+// loader below).
 constexpr std::uint32_t kCacheVersion = 4;
 
 constexpr std::uint64_t kGoldenBudget = 20'000'000;
@@ -101,9 +100,7 @@ std::string cache_label(const CampaignSpec& spec) {
   return label;
 }
 
-// Campaign payload <-> text.  The format is byte-compatible with the
-// legacy one-file-per-campaign `.camp` cache, so the pack migrator can
-// ingest old entries verbatim.  Parsing tolerates truncated or corrupted
+// Campaign payload <-> text.  Parsing tolerates truncated or corrupted
 // payloads: any parse failure, fingerprint mismatch or implausible header
 // leaves *out untouched and returns false, so the caller falls back to
 // re-running the campaign (and rewrites the cache entry).
@@ -314,30 +311,22 @@ struct CampaignJob {
 // replay-prefix trade-off, it does not affect results.
 constexpr std::uint64_t kSnapEquivCycles = 3000;
 
-// Snapshot interval for one campaign.  Priority:
-//   1. spec.checkpoint_interval / CLEAR_CHECKPOINT_INTERVAL: fixed-interval
-//      escape hatch, used verbatim.
-//   2. CLEAR_CHECKPOINT_DENSITY <= 0: the legacy ~1/96-of-run auto rule.
-//   3. Otherwise adaptive: every faulty sample's injection cycle derives
-//      from its global index alone (see run_faulty_sample), so the shard's
-//      fork-origin distribution is known *before* any faulty run starts.
-//      Pick the interval minimizing snapshot cost + golden-prefix replay
-//      cost over that distribution, then scale the snapshot count by the
-//      density knob.  The choice only moves work around -- per-sample
-//      injections and outcomes are interval-independent, so results stay
-//      bit-identical at any density.
+// Snapshot interval for one campaign.  spec.checkpoint_interval, when
+// non-zero, is a fixed interval used verbatim.  Otherwise placement is
+// adaptive: every faulty sample's injection cycle derives from its global
+// index alone (see run_faulty_sample), so the shard's fork-origin
+// distribution is known *before* any faulty run starts.  Pick the interval
+// minimizing snapshot cost + golden-prefix replay cost over that
+// distribution.  The choice only moves work around -- per-sample
+// injections and outcomes are interval-independent, so results stay
+// bit-identical at any interval.
 std::uint64_t pick_interval(const CampaignJob& job,
                             std::uint64_t nominal_cycles) {
   const CampaignSpec& spec = *job.spec;
-  std::uint64_t interval = spec.checkpoint_interval;
-  if (interval == 0) {
-    interval = static_cast<std::uint64_t>(
-        std::max(0L, util::env_long("CLEAR_CHECKPOINT_INTERVAL", 0)));
-  }
-  if (interval != 0) return interval;
-  const std::uint64_t legacy = std::max<std::uint64_t>(64, nominal_cycles / 96);
-  const double density = util::env_double("CLEAR_CHECKPOINT_DENSITY", 1.0);
-  if (!(density > 0.0)) return legacy;
+  if (spec.checkpoint_interval != 0) return spec.checkpoint_interval;
+  // ~nominal/96: the first candidate, and the answer when no sample forks.
+  const std::uint64_t fallback =
+      std::max<std::uint64_t>(64, nominal_cycles / 96);
   // Replay the per-sample RNG draws (identical order to run_faulty_sample)
   // to collect the non-suppressed injection cycles this shard will fork at.
   std::vector<std::uint64_t> cycles;
@@ -351,7 +340,7 @@ std::uint64_t pick_interval(const CampaignJob& job,
         spec.cfg != nullptr ? spec.cfg->prot_of(ff) : arch::FFProt::kNone;
     if (rng.bernoulli(ser_ratio(p))) cycles.push_back(cycle);
   }
-  if (cycles.empty()) return legacy;  // all strikes suppressed: no forks
+  if (cycles.empty()) return fallback;  // all strikes suppressed: no forks
   // A sample at cycle c re-simulates c % I golden cycles after forking;
   // the golden pass takes ~nominal/I snapshots.  Scan geometric candidate
   // counts (the cost curve is smooth, halving resolution is plenty).
@@ -360,8 +349,8 @@ std::uint64_t pick_interval(const CampaignJob& job,
     for (const std::uint64_t cyc : cycles) c += cyc % iv;
     return c;
   };
-  std::uint64_t best_interval = legacy;
-  std::uint64_t best_cost = cost_of(legacy);
+  std::uint64_t best_interval = fallback;
+  std::uint64_t best_cost = cost_of(fallback);
   for (std::uint64_t count = 1; count <= 4096; count *= 2) {
     const std::uint64_t iv = std::max<std::uint64_t>(16, nominal_cycles / count);
     const std::uint64_t c = cost_of(iv);
@@ -370,14 +359,6 @@ std::uint64_t pick_interval(const CampaignJob& job,
       best_interval = iv;
     }
     if (iv <= 16) break;
-  }
-  if (density != 1.0) {
-    const double scaled =
-        static_cast<double>(nominal_cycles) /
-        static_cast<double>(best_interval) * density;
-    best_interval = std::max<std::uint64_t>(
-        16, static_cast<std::uint64_t>(static_cast<double>(nominal_cycles) /
-                                       std::max(1.0, scaled)));
   }
   return best_interval;
 }

@@ -43,8 +43,7 @@
 // blocking simulation core itself lives behind inject/exec.h.
 //
 // Caching: results are memoized in a single append-only pack file per
-// cache directory (inject/cachepack.h) instead of one file per campaign;
-// legacy `.camp` caches are migrated automatically on first open.
+// cache directory (inject/cachepack.h).
 //
 // Shard transport: inject/wire.h defines the checksummed `.csr` file
 // format shard results travel in between machines, and the `clear` CLI
@@ -91,9 +90,8 @@ struct CampaignSpec {
   // Checkpoint/fork engine controls.
   //   use_checkpoint: -1 = CLEAR_CHECKPOINT env (default on), 0 = legacy
   //                   from-cycle-0 execution, 1 = force checkpointing.
-  //   checkpoint_interval: cycles between golden snapshots; 0 = the
-  //                   CLEAR_CHECKPOINT_INTERVAL env or an automatic choice
-  //                   (~1/96 of the nominal run).
+  //   checkpoint_interval: cycles between golden snapshots; 0 = adaptive
+  //                   placement over the shard's injection sites.
   int use_checkpoint = -1;
   std::uint64_t checkpoint_interval = 0;
   // Shard selection: this spec simulates only the global sample indices i

@@ -94,8 +94,7 @@ util::ArgParser make_run_parser() {
                   "checkpoint/fork engine (auto = CLEAR_CHECKPOINT env)",
                   "auto");
   args.add_option("checkpoint-interval", "cycles",
-                  "golden snapshot spacing (0 = CLEAR_CHECKPOINT_INTERVAL "
-                  "or ~1/96 of the run)",
+                  "golden snapshot spacing (0 = adaptive placement)",
                   "0");
   args.add_option("recovery", "none|flush|rob|ir|eir",
                   "hardware recovery technique", "");

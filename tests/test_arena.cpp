@@ -6,12 +6,13 @@
 //     core model, program or config (previously documented UB),
 //   * COW segment aliasing hammered from the worker thread pool,
 //   * per-component checkpoint size accounting,
-//   * adaptive checkpoint density: campaign results are bit-identical at
-//     any density, fixed interval, and against the legacy engine.
+//   * snapshot placement: campaign results are bit-identical under
+//     adaptive placement, fixed intervals from sparse to dense, and
+//     against the legacy engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -242,10 +243,10 @@ TEST(ArenaSizes, BreakdownMatchesConfiguration) {
   EXPECT_FALSE(mcp.shadow.present);
 }
 
-// The adaptive snapshot-density planner moves work around but never
-// changes what is simulated: per-FF counters are bit-identical at any
-// density, under the fixed-interval escape hatch, and against the legacy
-// from-cycle-0 engine.
+// Snapshot placement moves work around but never changes what is
+// simulated: per-FF counters are bit-identical under adaptive placement,
+// at fixed intervals from sparse to dense (spec.checkpoint_interval), and
+// against the legacy from-cycle-0 engine.
 TEST(AdaptiveDensity, ResultsBitIdenticalAcrossPlacements) {
   const auto prog = core::build_variant_program("mcf", core::Variant::base());
   inject::CampaignSpec spec;
@@ -255,28 +256,22 @@ TEST(AdaptiveDensity, ResultsBitIdenticalAcrossPlacements) {
   spec.key = "";  // no caching
   spec.threads = 2;
 
-  auto run_with = [&](const char* density, const char* interval,
-                      int use_checkpoint) {
-    if (density != nullptr) setenv("CLEAR_CHECKPOINT_DENSITY", density, 1);
-    if (interval != nullptr) setenv("CLEAR_CHECKPOINT_INTERVAL", interval, 1);
+  auto run_with = [&](std::uint64_t interval, int use_checkpoint) {
     inject::CampaignSpec s = spec;
+    s.checkpoint_interval = interval;
     s.use_checkpoint = use_checkpoint;
-    auto r = inject::run_campaign(s);
-    unsetenv("CLEAR_CHECKPOINT_DENSITY");
-    unsetenv("CLEAR_CHECKPOINT_INTERVAL");
-    return r;
+    return inject::run_campaign(s);
   };
 
-  // Scrub ambient knobs so the baseline is the true default placement.
-  unsetenv("CLEAR_CHECKPOINT_DENSITY");
-  unsetenv("CLEAR_CHECKPOINT_INTERVAL");
-
-  const auto baseline = run_with(nullptr, nullptr, 1);
-  const auto legacy_engine = run_with(nullptr, nullptr, 0);
-  const auto sparse = run_with("0.25", nullptr, 1);
-  const auto dense = run_with("4.0", nullptr, 1);
-  const auto auto_legacy = run_with("0", nullptr, 1);
-  const auto fixed = run_with(nullptr, "97", 1);
+  const auto baseline = run_with(0, 1);  // adaptive placement
+  const auto legacy_engine = run_with(0, 0);
+  const std::uint64_t nominal = baseline.nominal_cycles;
+  const auto sparse = run_with(nominal / 2, 1);
+  const auto dense = run_with(16, 1);
+  // The old automatic rule: ~nominal/96, at least 64 cycles.
+  const auto nominal_96 =
+      run_with(std::max<std::uint64_t>(64, nominal / 96), 1);
+  const auto fixed = run_with(97, 1);
 
   auto same = [](const inject::CampaignResult& a,
                  const inject::CampaignResult& b) {
@@ -298,7 +293,7 @@ TEST(AdaptiveDensity, ResultsBitIdenticalAcrossPlacements) {
   EXPECT_TRUE(same(baseline, legacy_engine));
   EXPECT_TRUE(same(baseline, sparse));
   EXPECT_TRUE(same(baseline, dense));
-  EXPECT_TRUE(same(baseline, auto_legacy));
+  EXPECT_TRUE(same(baseline, nominal_96));
   EXPECT_TRUE(same(baseline, fixed));
 }
 

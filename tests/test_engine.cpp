@@ -1,11 +1,13 @@
 // Execution-engine tests: submit/wait/poll semantics, progress
 // monotonicity, priority lanes, cooperative cancellation (including the
 // killed-job fuzz over the campaign cache pack), Session::prefetch_async,
-// the serve protocol codec, and the `clear serve` loopback e2e -- real
+// the serve protocol codec and its FrameConn connection (over a
+// socketpair), and the `clear serve` loopback e2e -- real
 // daemon + client child processes whose returned .csr bytes must match
 // `clear run --out` exactly.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 
 #include <chrono>
@@ -428,6 +430,93 @@ TEST(ServeProtocol, PayloadCodecsRoundTrip) {
   ASSERT_TRUE(serve::decode_done(serve::encode_done(d), &d2));
   EXPECT_EQ(d2.outcome, serve::JobOutcome::kBadRequest);
   EXPECT_EQ(d2.message, "no such bench");
+}
+
+// ---- FrameConn over a socketpair -------------------------------------------
+
+using RecvStatus = serve::FrameConn::Status;
+
+// Two connected stream-socket ends: conn reads frames, *peer is the raw
+// other end a test writes arbitrary bytes into.
+serve::FrameConn frame_pair(util::Socket* peer) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return serve::FrameConn();
+  }
+  *peer = util::Socket(fds[1]);
+  return serve::FrameConn(util::Socket(fds[0]));
+}
+
+void send_raw(util::Socket* peer, const std::string& bytes) {
+  ASSERT_TRUE(peer->send_all(bytes.data(), bytes.size()));
+}
+
+TEST(ServeProtocol, FrameConnReassemblesAFrameSentByteByByte) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kJob, "split payload");
+  serve::Frame frame;
+  for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
+    send_raw(&peer, bytes.substr(i, 1));
+    ASSERT_EQ(conn.recv(&frame, 0), RecvStatus::kTimeout) << "byte " << i;
+    EXPECT_TRUE(conn.buffered());
+  }
+  send_raw(&peer, bytes.substr(bytes.size() - 1));
+  ASSERT_EQ(conn.recv(&frame, 1000), RecvStatus::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kJob);
+  EXPECT_EQ(frame.payload, "split payload");
+  EXPECT_FALSE(conn.buffered());
+}
+
+TEST(ServeProtocol, FrameConnReturnsTwoFramesFromOneSend) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  send_raw(&peer, serve::encode_frame(serve::FrameType::kCancel, "") +
+                      serve::encode_frame(serve::FrameType::kShutdown, "x"));
+  serve::Frame frame;
+  ASSERT_EQ(conn.recv(&frame, -1), RecvStatus::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kCancel);
+  // The second frame is already buffered: returned without waiting.
+  ASSERT_TRUE(conn.buffered());
+  ASSERT_EQ(conn.recv(&frame, 0), RecvStatus::kFrame);
+  EXPECT_EQ(frame.type, serve::FrameType::kShutdown);
+  EXPECT_EQ(frame.payload, "x");
+  EXPECT_EQ(conn.recv(&frame, 0), RecvStatus::kTimeout);
+}
+
+TEST(ServeProtocol, FrameConnTimesOutOnASilentPeerWithinItsBound) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  serve::Frame frame;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(conn.recv(&frame, 150), RecvStatus::kTimeout);
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(took, 140ms);
+  EXPECT_LT(took, 5s);
+}
+
+TEST(ServeProtocol, FrameConnReportsClosedOnEofMidFrame) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  const std::string bytes =
+      serve::encode_frame(serve::FrameType::kResult, std::string(64, 'r'));
+  send_raw(&peer, bytes.substr(0, bytes.size() / 2));
+  peer.close();
+  serve::Frame frame;
+  EXPECT_EQ(conn.recv(&frame, -1), RecvStatus::kClosed);
+}
+
+TEST(ServeProtocol, FrameConnReportsBadOnAFlippedChecksumByte) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  std::string bytes =
+      serve::encode_frame(serve::FrameType::kProgress, "payload");
+  bytes[8] = static_cast<char>(bytes[8] ^ 0x01);  // first checksum byte
+  send_raw(&peer, bytes);
+  serve::Frame frame;
+  EXPECT_EQ(conn.recv(&frame, -1), RecvStatus::kBad);
 }
 
 // ---- serve loopback e2e ----------------------------------------------------

@@ -5,9 +5,10 @@
 // execution + cancellation, and the multi-process end-to-ends of the
 // acceptance criteria: a worker SIGKILLed mid-shard whose shards are
 // redispatched and whose merged bytes still equal the single-machine
-// merge, `clear serve --workers N` fan-out driven as a fleet, two
-// concurrent submitters against one daemon, the submit hello deadline
-// against a silent server, and SIGTERM draining an in-flight daemon.
+// merge, `clear serve --workers N` fan-out driven as a fleet, the fleet
+// and submit hello deadlines against a silent server, two concurrent
+// submitters against one daemon, and SIGTERM draining an in-flight
+// daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -450,6 +451,70 @@ TEST(FleetE2E, ServeFanOutExploreMatchesLocalMerge) {
   EXPECT_EQ(reap(parent), 0);
 }
 
+// A listener that never speaks: connect succeeds (the kernel completes
+// it from the backlog), the CSV1 hello never arrives.  Returns the fd.
+int silent_listener(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    ::close(fd);
+    return -1;
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 1) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// The fleet's hello deadline: a silent endpoint is skipped after
+// hello_timeout_ms, never registered, and the real worker runs every
+// shard.
+TEST(FleetE2E, SilentEndpointIsNeverRegistered) {
+  const int silent = silent_listener(kDir + "/fleet_silent.sock");
+  ASSERT_GE(silent, 0);
+  const pid_t pid = spawn_serve({"--socket", kDir + "/live.sock", "--quiet"});
+  ASSERT_GT(pid, 0);
+
+  std::vector<fleet::Endpoint> workers(2);
+  std::string err;
+  ASSERT_TRUE(
+      fleet::parse_endpoint(kDir + "/fleet_silent.sock", &workers[0], &err));
+  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/live.sock", &workers[1], &err));
+  std::vector<fleet::ShardWork> shards;
+  ASSERT_TRUE(fleet::build_campaign_shards(
+      "--core InO --bench gcc --injections 60 --seed 5\n", 2, &shards, &err))
+      << err;
+
+  fleet::FleetOptions opts;
+  opts.hello_timeout_ms = 300;
+  opts.shutdown_workers = true;
+  bool silent_up = false;
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = fleet::run_fleet(
+      workers, shards, opts, [&](const fleet::FleetEvent& e) {
+        if (e.kind == fleet::FleetEvent::Kind::kWorkerUp && e.worker == 0) {
+          silent_up = true;
+        }
+      });
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 60s);
+  ::close(silent);
+
+  EXPECT_FALSE(silent_up);
+  EXPECT_EQ(report.workers[0].state, fleet::WorkerState::kDead);
+  EXPECT_TRUE(report.workers[0].name.empty());
+  EXPECT_EQ(report.workers[0].shards_done, 0u);
+  EXPECT_EQ(report.workers_lost, 0u);  // never up, so never lost
+  EXPECT_EQ(report.workers[1].shards_done, 2u);
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& res : report.results) EXPECT_EQ(res.worker, 1u);
+  EXPECT_EQ(reap(pid), 0);
+}
+
 // ---- serve/submit robustness ----------------------------------------------
 
 TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
@@ -495,17 +560,9 @@ TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
 }
 
 TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
-  // A listener that never speaks: connect succeeds (the kernel completes
-  // it from the backlog), the CSV1 hello never arrives.
   const std::string path = kDir + "/silent.sock";
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = silent_listener(path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(fd, 1), 0);
   {
     std::ofstream spec(kDir + "/silent.spec");
     spec << "--core InO --bench mcf --injections 60 --seed 3\n";

@@ -356,37 +356,30 @@ TEST(ObsServe, HeartbeatsCarryDecodableSnapshots) {
   std::vector<obs::Snapshot> snaps;
   std::uint32_t last_inflight = 1;
   try {
-    util::Socket conn = util::Socket::connect_unix(sock, 5000);
-    std::string rx;
+    serve::FrameConn conn(util::Socket::connect_unix(sock, 5000));
     bool got_hello = false;
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     // Collect two heartbeat snapshots off the idle daemon.
     while (snaps.size() < 2 &&
            std::chrono::steady_clock::now() < deadline) {
-      if (!conn.readable(100)) continue;
-      char buf[4096];
-      const long n = conn.recv_some(buf, sizeof(buf));
-      ASSERT_GT(n, 0) << "server closed the connection early";
-      rx.append(buf, static_cast<std::size_t>(n));
-      for (;;) {
-        serve::Frame frame;
-        const serve::FrameStatus st = serve::decode_frame(&rx, &frame);
-        if (st == serve::FrameStatus::kNeedMore) break;
-        ASSERT_EQ(st, serve::FrameStatus::kOk);
-        if (frame.type == serve::FrameType::kHello) {
-          got_hello = true;
-        } else if (frame.type == serve::FrameType::kHeartbeat) {
-          EXPECT_TRUE(got_hello) << "heartbeat before hello";
-          std::uint32_t inflight = 0;
-          std::string blob;
-          ASSERT_TRUE(serve::decode_heartbeat(frame.payload, &inflight,
-                                              &blob));
-          ASSERT_FALSE(blob.empty()) << "v2 heartbeat lost its CMS1 tail";
-          obs::Snapshot snap;
-          ASSERT_TRUE(obs::decode_snapshot(blob, &snap));
-          snaps.push_back(std::move(snap));
-          last_inflight = inflight;
-        }
+      serve::Frame frame;
+      const serve::FrameConn::Status st = conn.recv(&frame, 100);
+      if (st == serve::FrameConn::Status::kTimeout) continue;
+      ASSERT_NE(st, serve::FrameConn::Status::kClosed)
+          << "server closed the connection early";
+      ASSERT_EQ(st, serve::FrameConn::Status::kFrame);
+      if (frame.type == serve::FrameType::kHello) {
+        got_hello = true;
+      } else if (frame.type == serve::FrameType::kHeartbeat) {
+        EXPECT_TRUE(got_hello) << "heartbeat before hello";
+        std::uint32_t inflight = 0;
+        std::string blob;
+        ASSERT_TRUE(serve::decode_heartbeat(frame.payload, &inflight, &blob));
+        ASSERT_FALSE(blob.empty()) << "v2 heartbeat lost its CMS1 tail";
+        obs::Snapshot snap;
+        ASSERT_TRUE(obs::decode_snapshot(blob, &snap));
+        snaps.push_back(std::move(snap));
+        last_inflight = inflight;
       }
     }
   } catch (const std::exception& e) {

@@ -13,7 +13,9 @@ matrices can only catch after the fact, and only on exercised paths:
   wire-safety   bytes that crossed a socket or a disk boundary are only
                 decoded through the bounds-checked util/bytes.h helpers;
                 raw reinterpret_cast / memcpy decodes in wire-handling
-                files are findings.
+                files are findings, and CSV1 frames are read only through
+                serve::FrameConn (decode_frame/recv_some calls outside
+                engine/protocol.cpp and util/socket.cpp are findings).
   fail-closed   switch dispatch over a wire-decoded discriminant
                 (version, frame type, ack status, ...) must carry a
                 refusing default: an unknown value is an error, never a
@@ -62,7 +64,7 @@ import sys
 # changes.  `clear version --json` reports the same number (kept in sync
 # by the lint self-test), so CI artifacts record which invariant set
 # vetted a build.
-CHECKER_SET_VERSION = 1
+CHECKER_SET_VERSION = 2
 
 try:  # pragma: no cover - environment dependent
     import clang.cindex  # type: ignore
@@ -308,9 +310,25 @@ _WIRE_PATTERNS = [
 ]
 
 
+# One framed-connection loop: serve::FrameConn (engine/protocol.cpp) is
+# the only src/ code that reassembles CSV1 frames from socket reads; the
+# two headers only declare the primitives it uses.
+FRAME_LOOP_HOME_RE = re.compile(r"^src/(?:engine/protocol|util/socket)\."
+                                r"(?:h|cpp)$")
+_FRAME_LOOP_RE = re.compile(r"\b(?:decode_frame|recv_some)\s*\(")
+
+
 def check_wire_safety(files):
     findings = []
     for sf in files:
+        if sf.relpath.startswith("src/") and \
+                not FRAME_LOOP_HOME_RE.search(sf.relpath):
+            for i, code in enumerate(sf.code_lines, start=1):
+                if _FRAME_LOOP_RE.search(code):
+                    findings.append(Finding(
+                        sf.relpath, i, "wire-safety",
+                        "hand-written CSV1 receive loop: read frames "
+                        "through serve::FrameConn (engine/protocol.h)"))
         if not WIRE_FILE_RE.search(sf.relpath):
             continue
         for i, code in enumerate(sf.code_lines, start=1):

@@ -1,6 +1,7 @@
-// Seeded wire-safety violations: raw decodes of payload bytes that must
-// each be caught (this path matches the checker's wire-file set).  The
-// annotated site at the bottom must NOT be reported.
+// Seeded wire-safety violations: raw decodes of payload bytes and a
+// hand-written CSV1 frame loop that must each be caught (this path
+// matches the checker's wire-file set).  The annotated site must NOT be
+// reported.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -28,6 +29,11 @@ bool annotated_decode(const std::string& payload, std::uint64_t* out) {
   // lint: allow(wire-safety): length checked on the line above; fixture
   std::memcpy(out, payload.data(), sizeof(*out));
   return true;
+}
+
+bool hand_rolled_frame_loop(std::string* rx, Frame* frame) {
+  // VIOLATION CSV1 frames decoded outside serve::FrameConn
+  return decode_frame(rx, frame) == FrameStatus::kOk;
 }
 
 }  // namespace fixture
