@@ -16,6 +16,7 @@
 // dead-worker redispatch) lives in fleet/fleet.h; every redispatch is
 // bit-identical to a single-worker run because shard results derive from
 // the global sample/combo index alone.
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <fstream>
@@ -75,12 +76,15 @@ bool parse_driver_flags(const util::ArgParser& args, const char* ctx,
   if (!args.get_u64("shards", 0, shards) || *shards > 65536 ||
       !args.get_u64("connect-retry-ms", 5000, &connect_ms) ||
       !args.get_u64("hello-timeout-ms", 10000, &hello_ms) || hello_ms == 0 ||
-      hello_ms > static_cast<std::uint64_t>(INT_MAX) ||
       !args.get_u64("dead-after-ms", 5000, &dead_ms) || dead_ms == 0 ||
       !args.get_u64("ack-timeout-ms", 3000, &ack_ms) || ack_ms == 0 ||
       !args.get_u64("max-attempts", 3, &attempts) || attempts == 0 ||
       !args.get_u64("status-interval-ms", 1000, &status_ms) ||
-      status_ms == 0) {
+      status_ms == 0 ||
+      // Each is stored as an int: a larger value would wrap negative (a
+      // -1 --dead-after-ms declares every healthy worker dead).
+      std::max({connect_ms, hello_ms, dead_ms, ack_ms, attempts, status_ms}) >
+          static_cast<std::uint64_t>(INT_MAX)) {
     std::fprintf(stderr, "%s: bad numeric flag value\n", ctx);
     return false;
   }

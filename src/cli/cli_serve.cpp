@@ -92,6 +92,12 @@ serve::Hello server_hello(const std::string& name) {
   return h;
 }
 
+// The connection loop's housekeeping ceiling: it re-checks SIGTERM,
+// sibling shutdowns, heartbeat and progress cadence at least this often.
+// Work completion does not wait for it -- finishing work notifies the
+// loop's wake (engine completion notifier, explore thread).
+constexpr int kHousekeepingMs = 20;
+
 // The daemon bounds every send: a client that stops draining its socket
 // for this long is treated as gone (its jobs are cancelled) instead of
 // wedging the worker in an uninterruptible ::send().  The client side
@@ -104,7 +110,8 @@ constexpr int kServerSendTimeoutMs = 30'000;
 // resolved plans are the stable storage the engine job's spec pointers
 // alias; explore shards run on a dedicated thread because
 // run_exploration blocks (the connection loop must keep pumping
-// heartbeats and steal frames meanwhile).  Destruction cancels and joins
+// heartbeats and steal frames meanwhile).  Either way, finishing work
+// notifies the connection's wake.  Destruction cancels and joins
 // unfinished work before the plans go away.  A request refused before
 // submission (bad manifest, engine backpressure) still occupies a queue
 // slot so its kDone is delivered in request order -- a pipelining driver
@@ -158,8 +165,8 @@ struct ServedWork {
   }
 };
 
-void start_explore(ServedWork* work, std::string text) {
-  work->explore_thread = std::thread([work, text = std::move(text)] {
+void start_explore(ServedWork* work, std::string text, util::Wake* wake) {
+  work->explore_thread = std::thread([work, wake, text = std::move(text)] {
     try {
       work->explore_result = fleet::run_explore_stanza(
           text, &work->explore_cancel, [work](const explore::Progress& p) {
@@ -178,6 +185,7 @@ void start_explore(ServedWork* work, std::string text) {
       work->explore_error = "unknown exploration error";
     }
     work->explore_done.store(true, std::memory_order_release);
+    wake->notify();
   });
 }
 
@@ -203,10 +211,11 @@ engine::JobProgress front_progress(ServedWork* front) {
   return p;
 }
 
-// Resolves a campaign manifest and submits it to the engine; on any
-// refusal the work item carries the kBadRequest instead.
+// Resolves a campaign manifest and submits it to the engine, which
+// notifies `wake` when the job ends; on any refusal the work item carries
+// the kBadRequest instead.
 void submit_campaigns(ServedWork* served, const std::string& manifest,
-                      engine::JobPriority priority) {
+                      engine::JobPriority priority, util::Wake* wake) {
   std::string error;
   bool ok = false;
   try {
@@ -220,8 +229,8 @@ void submit_campaigns(ServedWork* served, const std::string& manifest,
     specs.reserve(served->plans.size());
     for (const plan::RunPlan& plan : served->plans) specs.push_back(plan.spec);
     try {
-      served->job = engine::Engine::instance().submit(std::move(specs),
-                                                      priority);
+      served->job = engine::Engine::instance().submit(
+          std::move(specs), priority, [wake] { wake->notify(); });
       return;
     } catch (const std::exception& e) {
       // Engine backpressure (CLEAR_ENGINE_QUEUE_MAX): refuse THIS
@@ -244,6 +253,14 @@ bool handle_connection(util::Socket sock, const serve::Hello& hello,
                             const std::string& payload) {
     return conn.send(type, payload, kServerSendTimeoutMs);
   };
+  // Declared before the queue: work items notify it until their
+  // destructors have joined them.
+  util::Wake wake;
+  if (!wake.valid()) {
+    std::fprintf(stderr, "clear serve: eventfd: %s, dropping connection\n",
+                 std::strerror(errno));
+    return false;
+  }
   if (!send(serve::FrameType::kHello, serve::encode_hello(hello))) {
     return false;
   }
@@ -412,17 +429,12 @@ bool handle_connection(util::Socket sock, const serve::Hello& hello,
     // ---- pump the socket ----------------------------------------------------
     if (peer_gone) {
       // Nothing to read; wait for the cancelled work to retire.
-      if (!queue.empty()) {
-        if (queue.front()->job.valid()) {
-          queue.front()->job.wait_for(std::chrono::milliseconds(50));
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-      }
+      if (!queue.empty()) wake.wait(kHousekeepingMs);
       continue;
     }
     serve::Frame frame;
-    const serve::FrameConn::Status st = conn.recv(&frame, 20);
+    const serve::FrameConn::Status st =
+        conn.recv(&frame, kHousekeepingMs, &wake);
     if (st == serve::FrameConn::Status::kTimeout) continue;
     if (st != serve::FrameConn::Status::kFrame) {
       if (st == serve::FrameConn::Status::kBad) {
@@ -447,7 +459,7 @@ bool handle_connection(util::Socket sock, const serve::Hello& hello,
           queue.push_back(std::move(served));
           break;
         }
-        submit_campaigns(served.get(), req.manifest, req.priority);
+        submit_campaigns(served.get(), req.manifest, req.priority, &wake);
         if (!quiet && !served->refused) {
           std::printf("serve      job #%llu accepted: %zu campaigns "
                       "(%s lane)\n",
@@ -486,9 +498,10 @@ bool handle_connection(util::Socket sock, const serve::Hello& hello,
         served->shard_id = assign.shard_id;
         served->kind = assign.kind;
         if (assign.kind == serve::ShardKind::kExplore) {
-          start_explore(served.get(), assign.text);
+          start_explore(served.get(), assign.text, &wake);
         } else {
-          submit_campaigns(served.get(), assign.text, assign.priority);
+          submit_campaigns(served.get(), assign.text, assign.priority,
+                           &wake);
         }
         if (!quiet) {
           std::printf("serve      shard #%llu accepted (%s)\n",

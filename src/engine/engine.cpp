@@ -21,6 +21,7 @@ struct JobImpl {
   std::uint64_t id = 0;
   JobPriority priority = JobPriority::kInteractive;
   std::vector<inject::CampaignSpec> specs;
+  std::function<void()> on_complete;  // fired once, by retire()
 
   mutable std::mutex m;
   mutable std::condition_variable cv;
@@ -81,7 +82,10 @@ bool is_terminal(JobState s) noexcept {
 // `only_queued`, the transition happens only from kQueued -- the path
 // cancel() uses, so it can never yank a job the dispatcher concurrently
 // moved to kRunning (the running executor owns that job's retirement).
-// Returns whether this call performed the transition.
+// Returns whether this call performed the transition.  Every terminal
+// transition goes through here, so this is where the completion notifier
+// fires: under the lock, after the state change, so a waiter never
+// returns while the notifier still runs.
 bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
             bool only_queued = false) {
   {
@@ -90,6 +94,7 @@ bool retire(const std::shared_ptr<JobImpl>& job, JobState final,
     if (only_queued && job->state != JobState::kQueued) return false;
     job->state = final;
     job->finish_seq = g_finish_seq.fetch_add(1) + 1;
+    if (job->on_complete) job->on_complete();
   }
   switch (final) {
     case JobState::kDone: g_done.fetch_add(1); break;
@@ -230,10 +235,11 @@ Engine::~Engine() {
 }
 
 Job Engine::submit(std::vector<inject::CampaignSpec> specs,
-                   JobPriority priority) {
+                   JobPriority priority, std::function<void()> on_complete) {
   auto impl = std::make_shared<JobImpl>();
   impl->priority = priority;
   impl->specs = std::move(specs);
+  impl->on_complete = std::move(on_complete);
 
   const bool inline_exec = util::env_long("CLEAR_ENGINE_ASYNC", 1) == 0;
   bool on_dispatcher = false;

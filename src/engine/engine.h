@@ -24,6 +24,16 @@
 //   * cancellation is cooperative: cancel() flips a flag the simulation
 //     polls at checkpoint boundaries; a cancelled batch never writes a
 //     cache entry, so the pack is never left with partial results;
+//   * completion notifier: submit() takes an optional callback that
+//     fires exactly once, when the job reaches its terminal state (done,
+//     failed or cancelled, queued or running, inline or dispatched).  It
+//     runs under the job's lock on the thread that retires the job --
+//     the dispatcher, the submitter for inline execution, or the thread
+//     whose cancel() retires a queued job -- so it must not block and
+//     must not touch the job; the state it announces is already visible,
+//     and wait() returns only after it returned (its captures may be
+//     destroyed once wait() returns).  The serve daemon uses it to wake
+//     its connection loop (util::Wake::notify);
 //   * progress: done counters are monotonic -- golden recordings
 //     done/total, then faulty samples done/total (campaigns served from
 //     the cache count in neither; a fully cached job completes with 0/0
@@ -49,6 +59,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -167,9 +178,12 @@ class Engine {
   // validated by the executor when it runs, surfacing through
   // wait()/results() like any executor error.  Submissions from the
   // dispatcher thread itself execute inline (a job must never deadlock
-  // waiting for the thread it runs on).
+  // waiting for the thread it runs on).  `on_complete` is the optional
+  // completion notifier (see the header comment); a refused submission
+  // never fires it.
   Job submit(std::vector<inject::CampaignSpec> specs,
-             JobPriority priority = JobPriority::kInteractive);
+             JobPriority priority = JobPriority::kInteractive,
+             std::function<void()> on_complete = {});
 
   // Jobs waiting in the queue (excludes the one running).
   [[nodiscard]] std::size_t queued() const;

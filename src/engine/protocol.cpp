@@ -72,7 +72,8 @@ FrameStatus decode_frame(std::string* buffer, Frame* out) {
   return FrameStatus::kOk;
 }
 
-FrameConn::Status FrameConn::recv(Frame* out, int timeout_ms) {
+FrameConn::Status FrameConn::recv(Frame* out, int timeout_ms,
+                                   util::Wake* wake) {
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
@@ -87,7 +88,10 @@ FrameConn::Status FrameConn::recv(Frame* out, int timeout_ms) {
           deadline - Clock::now());
       wait = static_cast<int>(std::max<long long>(left.count(), 0));
     }
-    if (!sock_.readable(wait)) return Status::kTimeout;
+    if (!sock_.readable(wait, wake)) {
+      if (wake != nullptr) wake->drain();
+      return Status::kTimeout;
+    }
     char chunk[65536];
     const long n = sock_.recv_some(chunk, sizeof(chunk));
     if (n <= 0) return Status::kClosed;

@@ -147,8 +147,10 @@ class FrameConn {
 
   // Returns an already-buffered frame at once.  Otherwise reads until a
   // frame completes, the peer closes, the stream goes bad or timeout_ms
-  // passes (-1 = no limit, 0 = only what is readable now).
-  [[nodiscard]] Status recv(Frame* out, int timeout_ms);
+  // passes (-1 = no limit, 0 = only what is readable now).  With a wake,
+  // a notify() also ends the wait: recv drains it and returns kTimeout.
+  [[nodiscard]] Status recv(Frame* out, int timeout_ms,
+                            util::Wake* wake = nullptr);
   // Writes one whole frame; false on error, or when the peer stops
   // draining for timeout_ms (-1 = no limit; see Socket::send_all).
   bool send(FrameType type, const std::string& payload, int timeout_ms = -1);

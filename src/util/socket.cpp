@@ -8,6 +8,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <stdexcept>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -189,16 +190,51 @@ int Socket::wait_any(const Socket* const* socks, std::size_t count,
   }
 }
 
-bool Socket::readable(int timeout_ms) {
-  pollfd p{};
-  p.fd = fd_;
-  p.events = POLLIN;
+bool Socket::readable(int timeout_ms, const Wake* wake) {
+  pollfd p[2]{};
+  p[0].fd = fd_;
+  p[0].events = POLLIN;
+  p[1].fd = wake != nullptr ? wake->fd_ : -1;  // poll ignores fd -1
+  p[1].events = POLLIN;
   for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
-    if (rc > 0) return (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+    const int rc = ::poll(p, 2, timeout_ms);
+    if (rc > 0) return (p[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
     if (rc == 0) return false;
     if (errno != EINTR) return false;
   }
+}
+
+// ---- Wake ------------------------------------------------------------------
+
+Wake::Wake() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+Wake::~Wake() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Wake::notify() noexcept {
+  const std::uint64_t one = 1;
+  // EAGAIN (the counter is saturated) means a wake is already pending;
+  // EINTR cannot happen on a non-blocking eventfd write.
+  (void)!::write(fd_, &one, sizeof(one));
+}
+
+void Wake::drain() noexcept {
+  std::uint64_t count = 0;
+  (void)!::read(fd_, &count, sizeof(count));  // EAGAIN: nothing pending
+}
+
+bool Wake::wait(int timeout_ms) noexcept {
+  pollfd p{};
+  p.fd = fd_;
+  p.events = POLLIN;
+  int rc = 0;
+  do {
+    rc = ::poll(&p, 1, timeout_ms);
+  } while (rc < 0 && errno == EINTR);
+  if (rc <= 0) return false;
+  drain();
+  return true;
 }
 
 bool Socket::send_all(const void* data, std::size_t len, int timeout_ms) {

@@ -11,7 +11,8 @@
 //
 // All I/O is blocking with explicit poll-based readiness (readable());
 // send() uses MSG_NOSIGNAL so a vanished peer surfaces as an error
-// return, never SIGPIPE.
+// return, never SIGPIPE.  A Wake lets another thread cut a readiness
+// wait short (the daemon's connection loop wakes when a job finishes).
 #ifndef CLEAR_UTIL_SOCKET_H
 #define CLEAR_UTIL_SOCKET_H
 
@@ -20,6 +21,32 @@
 #include <string>
 
 namespace clear::util {
+
+// Cross-thread wakeup for one waiting loop: a non-blocking eventfd.  Any
+// thread may notify(); the loop waits on it beside a socket
+// (Socket::readable) or alone (wait()).  Wakes do not count: any number
+// of notify() calls before the next drain read as one.
+class Wake {
+ public:
+  Wake();  // invalid (valid() false) when no eventfd can be made
+  ~Wake();
+  Wake(const Wake&) = delete;
+  Wake& operator=(const Wake&) = delete;
+
+  // Never blocks, never throws: safe from any thread, under any lock.
+  void notify() noexcept;
+  // Clears a pending wake (no-op when none is pending).
+  void drain() noexcept;
+  // Waits up to timeout_ms for a notify(), then clears it; true when one
+  // arrived.
+  bool wait(int timeout_ms) noexcept;
+
+  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+
+ private:
+  friend class Socket;
+  int fd_ = -1;
+};
 
 class Socket {
  public:
@@ -46,8 +73,10 @@ class Socket {
   // wait timed out (timeout_ms >= 0) or the listener was closed.
   Socket accept(int timeout_ms = -1);
 
-  // True when data (or EOF) is ready within timeout_ms (0 = poll).
-  [[nodiscard]] bool readable(int timeout_ms);
+  // True when data (or EOF) is ready within timeout_ms (0 = poll).  With
+  // a wake, also returns false as soon as it is notified (the wake stays
+  // pending: the caller drains it).
+  [[nodiscard]] bool readable(int timeout_ms, const Wake* wake = nullptr);
 
   // Waits up to timeout_ms for data (or EOF) on any of `count` sockets;
   // returns the index of the first ready one, or -1 on timeout.  Null or

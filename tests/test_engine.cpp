@@ -1,19 +1,21 @@
 // Execution-engine tests: submit/wait/poll semantics, progress
 // monotonicity, priority lanes, cooperative cancellation (including the
-// killed-job fuzz over the campaign cache pack), Session::prefetch_async,
-// the serve protocol codec and its FrameConn connection (over a
-// socketpair), and the `clear serve` loopback e2e -- real
-// daemon + client child processes whose returned .csr bytes must match
-// `clear run --out` exactly.
+// killed-job fuzz over the campaign cache pack), the completion notifier
+// on every terminal path, Session::prefetch_async, the serve protocol
+// codec and its FrameConn connection and wake (over a socketpair), and
+// the `clear serve` loopback e2e -- real daemon + client child processes
+// whose returned .csr bytes must match `clear run --out` exactly.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +255,104 @@ TEST(EngineCancel, KilledJobFuzzNeverCorruptsCachePack) {
     expect_identical(inject::run_campaign(victim_spec), reference);
     expect_identical(inject::run_campaign(victim_spec), reference);
   }
+}
+
+// ---- completion notifier ---------------------------------------------------
+
+// Counts completion-notifier calls.  The engine fires the notifier under
+// the job lock before waiters see the terminal state, so the count is
+// final as soon as wait() returns.
+struct NotifyCount {
+  std::atomic<int> calls{0};
+  std::function<void()> notifier() {
+    return [this] { calls.fetch_add(1); };
+  }
+};
+
+TEST(EngineNotify, FiresOnceWhenDone) {
+  const auto prog = bench("mcf");
+  NotifyCount count;
+  engine::Job job = engine::Engine::instance().submit(
+      {small_spec(&prog, "")}, engine::JobPriority::kInteractive,
+      count.notifier());
+  job.wait();
+  EXPECT_EQ(job.state(), engine::JobState::kDone);
+  EXPECT_EQ(count.calls.load(), 1);
+  job.cancel();  // terminal: ignored, fires nothing
+  (void)job.take_results();
+  EXPECT_EQ(count.calls.load(), 1);
+}
+
+TEST(EngineNotify, FiresOnceWhenFailed) {
+  const auto prog = bench("mcf");
+  auto spec = small_spec(&prog, "");
+  spec.core_name = "NoSuchCore";
+  NotifyCount count;
+  engine::Job job = engine::Engine::instance().submit(
+      {spec}, engine::JobPriority::kInteractive, count.notifier());
+  job.wait();
+  EXPECT_EQ(job.state(), engine::JobState::kFailed);
+  EXPECT_EQ(count.calls.load(), 1);
+}
+
+TEST(EngineNotify, FiresOnceWhenCancelledWhileQueued) {
+  const auto prog = bench("gcc");
+  NotifyCount head_count;
+  NotifyCount queued_count;
+  engine::Job head = engine::Engine::instance().submit(
+      {small_spec(&prog, "", 1500)}, engine::JobPriority::kInteractive,
+      head_count.notifier());
+  engine::Job queued = engine::Engine::instance().submit(
+      {small_spec(&prog, "", 1500)}, engine::JobPriority::kInteractive,
+      queued_count.notifier());
+  queued.cancel();
+  queued.wait();
+  EXPECT_EQ(queued.state(), engine::JobState::kCancelled);
+  EXPECT_EQ(queued_count.calls.load(), 1);
+  queued.cancel();  // idempotent: no second notification
+  head.wait();
+  EXPECT_EQ(head.state(), engine::JobState::kDone);
+  EXPECT_EQ(head_count.calls.load(), 1);
+  // The dispatcher skipped the retired queue entry without re-firing it.
+  EXPECT_EQ(queued_count.calls.load(), 1);
+}
+
+TEST(EngineNotify, FiresOnceWhenCancelledWhileRunning) {
+  const auto prog = bench("gcc");
+  NotifyCount count;
+  engine::Job job = engine::Engine::instance().submit(
+      {small_spec(&prog, "", 40000)}, engine::JobPriority::kInteractive,
+      count.notifier());
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (job.state() == engine::JobState::kQueued &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(job.state(), engine::JobState::kRunning);
+  EXPECT_EQ(count.calls.load(), 0);
+  job.cancel();
+  job.wait();
+  EXPECT_EQ(job.state(), engine::JobState::kCancelled);
+  EXPECT_EQ(count.calls.load(), 1);
+}
+
+TEST(EngineNotify, FiresOnceInlineOnTheSubmittingThread) {
+  ::setenv("CLEAR_ENGINE_ASYNC", "0", 1);
+  const auto prog = bench("mcf");
+  NotifyCount count;
+  std::thread::id fired_on;
+  engine::Job job = engine::Engine::instance().submit(
+      {small_spec(&prog, "")}, engine::JobPriority::kInteractive, [&] {
+        fired_on = std::this_thread::get_id();
+        count.calls.fetch_add(1);
+      });
+  ::unsetenv("CLEAR_ENGINE_ASYNC");
+  // Inline execution retired the job before submit() returned.
+  EXPECT_EQ(count.calls.load(), 1);
+  EXPECT_EQ(fired_on, std::this_thread::get_id());
+  EXPECT_EQ(job.state(), engine::JobState::kDone);
+  (void)job.take_results();
+  EXPECT_EQ(count.calls.load(), 1);
 }
 
 // ---- Session::prefetch_async ----------------------------------------------
@@ -517,6 +617,67 @@ TEST(ServeProtocol, FrameConnReportsBadOnAFlippedChecksumByte) {
   send_raw(&peer, bytes);
   serve::Frame frame;
   EXPECT_EQ(conn.recv(&frame, -1), RecvStatus::kBad);
+}
+
+// ---- FrameConn wake ----------------------------------------------------------
+
+TEST(ServeProtocol, FrameConnWakeEndsRecvLongBeforeItsTimeout) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  util::Wake wake;
+  ASSERT_TRUE(wake.valid());
+  std::thread notifier([&wake] {
+    std::this_thread::sleep_for(30ms);
+    wake.notify();
+  });
+  serve::Frame frame;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(conn.recv(&frame, 10000, &wake), RecvStatus::kTimeout);
+  const auto took = std::chrono::steady_clock::now() - start;
+  notifier.join();
+  EXPECT_LT(took, 5s);
+  EXPECT_FALSE(conn.buffered());
+}
+
+TEST(ServeProtocol, FrameConnReturnsBufferedFramesBeforeTheWake) {
+  util::Socket peer;
+  serve::FrameConn conn = frame_pair(&peer);
+  util::Wake wake;
+  ASSERT_TRUE(wake.valid());
+  serve::Frame frame;
+  // One frame reassembled into the receive buffer, one still in the
+  // kernel: both come back before the pending wake is reported.
+  send_raw(&peer, serve::encode_frame(serve::FrameType::kCancel, "a") +
+                      serve::encode_frame(serve::FrameType::kCancel, "b"));
+  ASSERT_EQ(conn.recv(&frame, 1000), RecvStatus::kFrame);
+  EXPECT_EQ(frame.payload, "a");
+  send_raw(&peer, serve::encode_frame(serve::FrameType::kCancel, "c"));
+  wake.notify();
+  wake.notify();  // wakes do not count: still one pending
+  ASSERT_EQ(conn.recv(&frame, 1000, &wake), RecvStatus::kFrame);
+  EXPECT_EQ(frame.payload, "b");
+  ASSERT_EQ(conn.recv(&frame, 1000, &wake), RecvStatus::kFrame);
+  EXPECT_EQ(frame.payload, "c");
+  // Now the wake: reported at once, and drained by reporting it.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(conn.recv(&frame, 10000, &wake), RecvStatus::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  const auto quiet_start = std::chrono::steady_clock::now();
+  EXPECT_EQ(conn.recv(&frame, 100, &wake), RecvStatus::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - quiet_start, 90ms);
+}
+
+TEST(ServeProtocol, WakeWaitReportsAndClearsOneNotify) {
+  util::Wake wake;
+  ASSERT_TRUE(wake.valid());
+  EXPECT_FALSE(wake.wait(0));
+  wake.notify();
+  wake.notify();
+  EXPECT_TRUE(wake.wait(0));
+  EXPECT_FALSE(wake.wait(0));  // both notifies were one wake
+  wake.notify();
+  wake.drain();
+  EXPECT_FALSE(wake.wait(0));
 }
 
 // ---- serve loopback e2e ----------------------------------------------------

@@ -6,9 +6,10 @@
 // acceptance criteria: a worker SIGKILLed mid-shard whose shards are
 // redispatched and whose merged bytes still equal the single-machine
 // merge, `clear serve --workers N` fan-out driven as a fleet, the fleet
-// and submit hello deadlines against a silent server, two concurrent
-// submitters against one daemon, and SIGTERM draining an in-flight
-// daemon.
+// and submit hello deadlines against a silent server, the driver's
+// timing-flag range checks, the daemon's ack -> done latency on
+// cache-hit shards, two concurrent submitters against one daemon, and
+// SIGTERM draining an in-flight daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -17,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -24,6 +26,7 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,10 +72,28 @@ std::string slurp(const std::string& path) {
 }
 
 // Forks + execs one `clear serve` daemon (stdio -> /dev/null) and returns
-// its pid, so a test can SIGKILL exactly one worker of a fleet.
-pid_t spawn_serve(const std::vector<std::string>& extra_args) {
+// its pid, so a test can SIGKILL exactly one worker of a fleet.  A
+// non-empty `cache_dir` replaces the daemon's CLEAR_CACHE_DIR.  argv and
+// the environment are built before the fork: the child only execs.
+pid_t spawn_serve(const std::vector<std::string>& extra_args,
+                  const std::string& cache_dir = "") {
   std::vector<std::string> store = {kBin, "serve"};
   store.insert(store.end(), extra_args.begin(), extra_args.end());
+  std::vector<char*> argv;
+  for (std::string& s : store) argv.push_back(s.data());
+  argv.push_back(nullptr);
+  const std::string kCacheVar = "CLEAR_CACHE_DIR=";
+  std::vector<std::string> env_store;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (cache_dir.empty() || std::string(*e).rfind(kCacheVar, 0) != 0) {
+      env_store.emplace_back(*e);
+    }
+  }
+  if (!cache_dir.empty()) env_store.push_back(kCacheVar + cache_dir);
+  std::vector<char*> envp;
+  for (std::string& s : env_store) envp.push_back(s.data());
+  envp.push_back(nullptr);
+
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   const int null_fd = ::open("/dev/null", O_RDWR);
@@ -82,11 +103,18 @@ pid_t spawn_serve(const std::vector<std::string>& extra_args) {
     ::dup2(null_fd, STDERR_FILENO);
     if (null_fd > STDERR_FILENO) ::close(null_fd);
   }
-  std::vector<char*> argv;
-  for (std::string& s : store) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  ::execv(kBin.c_str(), argv.data());
+  ::execve(kBin.c_str(), argv.data(), envp.data());
   ::_exit(127);
+}
+
+// An empty cache directory for one test's daemons.  ctest's per-binary
+// CLEAR_CACHE_DIR outlives the run, so a test that needs a worker to be
+// genuinely mid-simulation must not share it: a re-run would be served
+// from the warm pack.
+std::string fresh_cache_dir(const std::string& name) {
+  const std::string dir = kDir + "/cache_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 // Reaps `pid`, polling up to `timeout`.  Returns the exit status (or -1
@@ -327,9 +355,12 @@ TEST(FleetShards, ExploreStanzaHonoursPreSetCancel) {
 // the survivor, and the merged result must be byte-identical to the
 // single-machine merge of the same shard partition.
 TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
-  const pid_t pid0 = spawn_serve({"--socket", kDir + "/w0.sock", "--quiet"});
+  const std::string cache = fresh_cache_dir("redispatch");
+  const pid_t pid0 =
+      spawn_serve({"--socket", kDir + "/w0.sock", "--quiet"}, cache);
   ASSERT_GT(pid0, 0);
-  const pid_t pid1 = spawn_serve({"--socket", kDir + "/w1.sock", "--quiet"});
+  const pid_t pid1 =
+      spawn_serve({"--socket", kDir + "/w1.sock", "--quiet"}, cache);
   ASSERT_GT(pid1, 0);
 
   std::vector<fleet::Endpoint> workers(2);
@@ -337,7 +368,7 @@ TEST(FleetE2E, DeadWorkerRedispatchKeepsMergeBitIdentical) {
   ASSERT_TRUE(fleet::parse_endpoint(kDir + "/w0.sock", &workers[0], &err));
   ASSERT_TRUE(fleet::parse_endpoint(kDir + "/w1.sock", &workers[1], &err));
 
-  // Seed 11 is unique to this test: the shards are cache-cold, so worker
+  // The workers' cache is fresh, so the shards are cache-cold and worker
   // 0 is genuinely mid-simulation when the SIGKILL lands.
   std::vector<fleet::ShardWork> shards;
   ASSERT_TRUE(fleet::build_campaign_shards(
@@ -515,6 +546,88 @@ TEST(FleetE2E, SilentEndpointIsNeverRegistered) {
   EXPECT_EQ(reap(pid), 0);
 }
 
+// Every driver timing flag is stored as an int: values past INT_MAX are
+// refused (exit 2) instead of wrapping negative.
+TEST(FleetCli, TimingFlagsRefuseValuesPastIntMax) {
+  {
+    std::ofstream spec(kDir + "/flags.spec");
+    spec << "--core InO --bench mcf --injections 60 --seed 3\n";
+  }
+  for (const char* flag :
+       {"--dead-after-ms", "--ack-timeout-ms", "--connect-retry-ms",
+        "--status-interval-ms", "--hello-timeout-ms"}) {
+    EXPECT_EQ(sh(kBin + " fleet run --spec " + kDir + "/flags.spec " +
+                 "--out-dir " + kDir + "/flags_out " + flag +
+                 " 4294967295 " + kDir + "/nobody.sock 2>&1"),
+              2)
+        << flag;
+  }
+}
+
+// ThreadSanitizer slows a cache-hit shard's own work to ~10 ms, the size
+// of the latency bound below: under it the latency test still drives the
+// daemon's wake path (a race report fails the daemon's exit code) but
+// does not time it.
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kUnderTsan = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kUnderTsan = true;
+#else
+constexpr bool kUnderTsan = false;
+#endif
+#else
+constexpr bool kUnderTsan = false;
+#endif
+
+// The daemon's connection loop wakes when a shard finishes instead of at
+// its 20 ms housekeeping tick.  Cache-hit shards do almost no work, so
+// ack -> done is the serve loop's own latency; a loop that noticed
+// completions only on its tick reads >= 20 ms.  The 10 ms bound leaves
+// room for a loaded host.
+TEST(ServeLatency, CacheHitShardsFinishInsideOneHousekeepingTick) {
+  const pid_t pid = spawn_serve({"--socket", kDir + "/lat.sock", "--quiet",
+                                 "--heartbeat-ms", "0"},
+                                fresh_cache_dir("latency"));
+  ASSERT_GT(pid, 0);
+  std::vector<fleet::Endpoint> workers(1);
+  std::string err;
+  ASSERT_TRUE(fleet::parse_endpoint(kDir + "/lat.sock", &workers[0], &err));
+  std::vector<fleet::ShardWork> shards;
+  ASSERT_TRUE(fleet::build_campaign_shards(
+      "--core InO --bench gcc --injections 64 --seed 23\n", 32, &shards,
+      &err))
+      << err;
+
+  fleet::FleetOptions opts;
+  ASSERT_EQ(fleet::run_fleet(workers, shards, opts).results.size(), 32u)
+      << "warm-up pass";
+
+  using Clock = std::chrono::steady_clock;
+  std::map<std::uint64_t, Clock::time_point> acked;
+  std::vector<double> ack_to_done_ms;
+  opts.shutdown_workers = true;
+  const auto report = fleet::run_fleet(
+      workers, shards, opts, [&](const fleet::FleetEvent& e) {
+        if (e.kind == fleet::FleetEvent::Kind::kAck) {
+          acked[e.shard_id] = Clock::now();
+        } else if (e.kind == fleet::FleetEvent::Kind::kShardDone) {
+          ack_to_done_ms.push_back(
+              std::chrono::duration<double, std::milli>(
+                  Clock::now() - acked.at(e.shard_id))
+                  .count());
+        }
+      });
+  ASSERT_EQ(report.results.size(), 32u);
+  ASSERT_EQ(ack_to_done_ms.size(), 32u);
+  std::sort(ack_to_done_ms.begin(), ack_to_done_ms.end());
+  const double median = ack_to_done_ms[ack_to_done_ms.size() / 2];
+  if (!kUnderTsan) {
+    EXPECT_LT(median, 10.0);
+  }
+  EXPECT_EQ(reap(pid), 0);
+}
+
 // ---- serve/submit robustness ----------------------------------------------
 
 TEST(ServeRobustness, TwoConcurrentSubmittersBothGetExactBytes) {
@@ -578,7 +691,8 @@ TEST(ServeRobustness, SubmitHelloDeadlineBoundsASilentServer) {
 }
 
 TEST(ServeRobustness, SigtermCancelsInflightJobAndExitsPromptly) {
-  const pid_t daemon = spawn_serve({"--socket", kDir + "/t.sock", "--quiet"});
+  const pid_t daemon = spawn_serve({"--socket", kDir + "/t.sock", "--quiet"},
+                                   fresh_cache_dir("sigterm"));
   ASSERT_GT(daemon, 0);
   wait_for_file(kDir + "/t.sock");
   {
