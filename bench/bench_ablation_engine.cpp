@@ -58,7 +58,7 @@ ModeRun run_mode(bool pipeline, const std::string& cache_dir) {
   spec.per_ff_samples = 1;
   spec.benchmarks = {"mcf", "gcc", "inner_product", "fft1d"};
   spec.batch = 24;  // several seams, so the overlap actually engages
-  spec.pipeline = pipeline ? 1 : 0;
+  spec.pipeline = pipeline;
 
   const engine::Engine::Stats before = engine::Engine::instance().stats();
   const auto t0 = std::chrono::steady_clock::now();

@@ -14,7 +14,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +26,7 @@
 #include "explore/ledger.h"
 #include "plan/runplan.h"
 #include "util/args.h"
+#include "util/fs.h"
 #include "util/table.h"
 
 namespace clear::cli {
@@ -156,10 +156,7 @@ int explore_run(int argc, const char* const* argv) {
                   "wilson");
   args.add_option("shard", "k/K", "own combo indices i with i mod K == k",
                   "0/1");
-  args.add_option("batch", "N",
-                  "combos per scheduling batch (0 = CLEAR_EXPLORE_BATCH or "
-                  "64)",
-                  "0");
+  args.add_option("batch", "N", "combos per scheduling batch (0 = 64)", "0");
   args.add_option("ledger", "file.cxl", "exploration ledger to append to");
   args.add_flag("no-prune",
                 "evaluate every combination (skip dominance pruning)");
@@ -605,7 +602,7 @@ int explore_watch(int argc, const char* const* argv) {
       "Follows a ledger a fleet (or K sharded 'clear explore run' jobs)\n"
       "is merging into: polls the file, prints a line whenever coverage\n"
       "or the record count advances, and exits 0 once the exploration is\n"
-      "complete.  The writer rewrites atomically (tmp + rename), so every\n"
+      "complete.  The writer replaces it atomically, so every\n"
       "poll sees a consistent ledger.");
   args.add_option("ledger", "file", "merged ledger to follow (required)");
   args.add_option("interval-ms", "N", "poll interval", "500");
@@ -645,15 +642,11 @@ int explore_watch(int argc, const char* const* argv) {
   const std::string status_path = args.get("status");
   std::string last_status_doc;
   // Renders the fleet status file when its contents changed since the
-  // last poll.  A missing or torn document is not an error: the driver
-  // writes tmp + rename, so the next poll sees a whole one.
+  // last poll.  A missing document is not an error, and the driver
+  // replaces it atomically, so every poll sees a whole one.
   const auto poll_status = [&] {
-    if (status_path.empty()) return;
-    std::ifstream in(status_path);
-    if (!in) return;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string doc = buf.str();
+    std::string doc;
+    if (status_path.empty() || !util::read_file(status_path, &doc)) return;
     if (doc.empty() || doc == last_status_doc) return;
     std::string rendered, status_error;
     if (!render_fleet_status(doc, &rendered, &status_error)) return;

@@ -19,9 +19,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -242,17 +240,15 @@ int fleet_run(int argc, const char* const* argv) {
   }
   if (shard_count == 0) shard_count = workers.size();
 
-  std::ifstream spec_in(args.get("spec"), std::ios::binary);
-  if (!spec_in) {
+  std::string manifest;
+  if (!util::read_file(args.get("spec"), &manifest)) {
     std::fprintf(stderr, "clear fleet run: cannot read spec file '%s'\n",
                  args.get("spec").c_str());
     return 1;
   }
-  std::ostringstream manifest;
-  manifest << spec_in.rdbuf();
 
   std::vector<fleet::ShardWork> shards;
-  if (!fleet::build_campaign_shards(manifest.str(),
+  if (!fleet::build_campaign_shards(manifest,
                                     static_cast<std::uint32_t>(shard_count),
                                     &shards, &error)) {
     std::fprintf(stderr, "clear fleet run: %s\n", error.c_str());

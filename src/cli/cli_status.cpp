@@ -17,8 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "util/args.h"
+#include "util/fs.h"
 #include "util/socket.h"
 #include "util/table.h"
 
@@ -601,14 +600,11 @@ int cmd_status(int argc, const char* const* argv) {
   }
 
   if (!file.empty()) {
-    std::ifstream in(file);
-    if (!in) {
+    std::string doc;
+    if (!util::read_file(file, &doc)) {
       std::fprintf(stderr, "clear status: cannot read %s\n", file.c_str());
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string doc = buf.str();
     if (args.has("json")) {
       std::fputs(doc.c_str(), stdout);
       return 0;

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "arch/core.h"
 #include "core/selection.h"
 #include "core/session.h"
-#include "util/env.h"
+#include "util/fs.h"
 #include "workloads/workloads.h"
 
 namespace clear::explore {
@@ -60,17 +60,6 @@ LedgerRecord point_record(RecordKind kind, std::uint32_t index,
   rec.imp_sdc = p.imp.sdc;
   rec.imp_due = p.imp.due;
   return rec;
-}
-
-std::size_t resolve_batch(std::size_t batch) {
-  if (batch != 0) return batch;
-  const long env = util::env_long("CLEAR_EXPLORE_BATCH", 64);
-  return env > 0 ? static_cast<std::size_t>(env) : 64;
-}
-
-bool resolve_pipeline(int pipeline) {
-  if (pipeline >= 0) return pipeline != 0;
-  return util::env_long("CLEAR_EXPLORE_PIPELINE", 1) != 0;
 }
 
 void validate_spec(const ExploreSpec& spec) {
@@ -212,8 +201,7 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   Progress prog;
   prog.pending = pending.size();
 
-  const std::size_t batch = resolve_batch(spec.batch);
-  const bool pipeline = resolve_pipeline(spec.pipeline);
+  const std::size_t batch = spec.batch != 0 ? spec.batch : 64;
 
   // The layer variants one batch of combos profiles on.
   const auto batch_variants = [&](std::size_t start, std::size_t end) {
@@ -245,7 +233,7 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
   check_cancel();
 
   core::PrefetchTicket next_batch;
-  if (pipeline && !pending.empty()) {
+  if (spec.pipeline && !pending.empty()) {
     next_batch = session.prefetch_async(
         batch_variants(0, std::min(pending.size(), batch)));
   }
@@ -257,7 +245,7 @@ Ledger run_exploration(const ExploreSpec& spec, const std::string& ledger_path,
     // campaigns ran as ONE engine submission: golden recording overlaps
     // faulty runs across combos, and combos sharing a variant share its
     // campaigns via the cache pack.
-    if (pipeline) {
+    if (spec.pipeline) {
       next_batch.commit();
       if (end < pending.size()) {
         next_batch = session.prefetch_async(
@@ -334,8 +322,7 @@ void write_profile_manifest(const ExploreSpec& spec, const std::string& path) {
     for (const core::Variant& v : core::combo_layer_variants(c)) add(v);
   }
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path);
+  std::ostringstream out;
   out << "# clear explore profiling manifest\n"
       << "# core=" << spec.core << " per-ff=" << identity.per_ff_samples
       << " seed=" << identity.seed << " (" << variants.size()
@@ -376,7 +363,10 @@ void write_profile_manifest(const ExploreSpec& spec, const std::string& path) {
       out << "\n";
     }
   }
-  if (!out.flush()) throw std::runtime_error("cannot write " + path);
+  std::string error;
+  if (!util::write_file_atomic(path, out.str(), &error)) {
+    throw std::runtime_error(error);
+  }
 }
 
 }  // namespace clear::explore

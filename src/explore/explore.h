@@ -78,15 +78,14 @@ struct ExploreSpec {
   // disable it to evaluate every combination (the full Fig. 1d cloud).
   bool prune = true;
   // Combos per scheduling batch (each batch prefetches its profiling
-  // campaigns as one run_campaigns submission).  0 = CLEAR_EXPLORE_BATCH
-  // env or 64.
+  // campaigns as one run_campaigns submission).  0 = 64.
   std::size_t batch = 0;
   // Batch pipelining: profile batch N+1 on the engine's bulk lane while
   // batch N's combos are evaluated on the calling thread
   // (core::Session::prefetch_async double-buffering).  Pure scheduling:
-  // ledger records and bytes are bit-identical either way.
-  //   -1 = CLEAR_EXPLORE_PIPELINE env (default on), 0 = off, 1 = on.
-  int pipeline = -1;
+  // ledger records and bytes are bit-identical either way (off is the
+  // blocking baseline bench_ablation_engine measures against).
+  bool pipeline = true;
   // Cooperative cancellation (optional).  When non-null, run_exploration
   // polls the flag at every combo seam and throws ExploreCancelled once
   // it reads true.  A persistent ledger keeps every record appended so

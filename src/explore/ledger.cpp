@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/bytes.h"
+#include "util/fs.h"
 
 namespace clear::explore {
 
@@ -292,29 +293,16 @@ LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
 }
 
 void write_ledger_file(const std::string& path, const Ledger& ledger) {
-  const std::string bytes = encode_ledger(ledger);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(bytes.data(),
-                           static_cast<std::streamsize>(bytes.size()))) {
-      throw std::runtime_error("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("cannot rename into place: " + path);
+  std::string error;
+  if (!util::write_file_atomic(path, encode_ledger(ledger), &error)) {
+    throw std::runtime_error(error);
   }
 }
 
 LedgerStatus load_ledger_file(const std::string& path, Ledger* out,
                               LedgerLoadInfo* info) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return LedgerStatus::kTruncated;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!util::read_file(path, &bytes)) return LedgerStatus::kTruncated;
   return decode_ledger(bytes, out, info);
 }
 

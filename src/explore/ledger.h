@@ -178,7 +178,7 @@ struct LedgerLoadInfo {
 [[nodiscard]] LedgerStatus decode_ledger(const std::string& bytes, Ledger* out,
                                          LedgerLoadInfo* info = nullptr);
 
-// File I/O.  write_ledger_file() rewrites atomically (tmp + rename);
+// File I/O.  write_ledger_file() rewrites via util::write_file_atomic;
 // throws std::runtime_error when the path is unwritable.
 // load_ledger_file() returns kTruncated for an unreadable/missing path.
 void write_ledger_file(const std::string& path, const Ledger& ledger);

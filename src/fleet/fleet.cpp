@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +13,7 @@
 #include "explore/ledger.h"
 #include "inject/wire.h"
 #include "obs/metrics.h"
+#include "util/fs.h"
 #include "util/socket.h"
 
 namespace clear::fleet {
@@ -837,8 +836,9 @@ void Driver::handle_frame(std::size_t w, const serve::Frame& frame) {
 // Rewrites opts_.status_out (schema clear-fleet-status-v1) at most every
 // status_interval_ms: the shard tally, the worker registry with each
 // worker's latest heartbeat snapshot, and the driver's own scheduling
-// metrics.  tmp + atomic rename so a concurrent reader (`clear explore
-// watch --status`, `clear status --file`) never sees a torn document.
+// metrics.  Written through util::write_file_atomic so a concurrent
+// reader (`clear explore watch --status`, `clear status --file`) never
+// sees a torn document.
 void Driver::maybe_write_status(Clock::time_point now, bool force) {
   if (opts_.status_out.empty()) return;
   if (!force && last_status_ != Clock::time_point{} &&
@@ -871,16 +871,8 @@ void Driver::maybe_write_status(Clock::time_point now, bool force) {
   out += workers_.empty() ? "],\n" : "\n  ],\n";
   out += "  \"driver\": " + embed_json(obs::to_json(obs::snapshot()), "  ");
   out += "\n}\n";
-  const std::string tmp = opts_.status_out + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) return;
-    f << out;
-    if (!f.flush()) return;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, opts_.status_out, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  // Best effort: a missed status write is retried next interval.
+  (void)util::write_file_atomic(opts_.status_out, out);
 }
 
 // Called when worker w's socket is readable: handles every frame that

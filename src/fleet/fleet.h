@@ -118,7 +118,7 @@ struct FleetOptions {
   engine::JobPriority priority = engine::JobPriority::kBulk;
   bool shutdown_workers = false;  // send kShutdown to live workers at the end
   // Live fleet status file ("" = off): the driver rewrites this JSON
-  // (schema clear-fleet-status-v1, tmp + atomic rename) every
+  // (schema clear-fleet-status-v1, util::write_file_atomic) every
   // status_interval_ms with the shard tally, the worker registry and each
   // worker's latest heartbeat metric snapshot.  `clear explore watch
   // --status FILE` and `clear status --file FILE` render it.

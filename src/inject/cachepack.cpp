@@ -6,15 +6,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/env.h"
 #include "util/fs.h"
 #include "util/hash.h"
@@ -24,6 +23,8 @@ namespace clear::inject {
 namespace {
 
 using util::fnv1a64;
+using util::read_all;
+using util::write_all;
 
 // Cache telemetry (docs/OBSERVABILITY.md): the probe/fill/compaction
 // paths report here; CachePackStats stays the per-instance accounting.
@@ -46,23 +47,6 @@ constexpr std::size_t kHeaderSize = 36;   // 28 checksummed bytes + 8
 constexpr std::uint32_t kMaxKeyLen = 1u << 16;
 constexpr std::uint32_t kMaxPayloadLen = 1u << 30;
 
-void put_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-void put_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 struct Header {
   std::uint32_t key_len = 0;
   std::uint32_t payload_len = 0;
@@ -71,52 +55,45 @@ struct Header {
 };
 
 // Serializes a header into its 36-byte on-disk form (checksum included).
-void encode_header(const Header& h, unsigned char* out) {
-  // lint: allow(wire-safety): encode side, fixed 4-byte magic into a caller-sized header buffer
-  std::memcpy(out, kMagic, 4);
-  put_u32(out + 4, h.key_len);
-  put_u32(out + 8, h.payload_len);
-  put_u64(out + 12, h.fp);
-  put_u64(out + 20, h.payload_sum);
-  put_u64(out + 28, fnv1a64(out, 28));
+std::string encode_header(const Header& h) {
+  std::string out;
+  util::append_magic(&out, kMagic);
+  util::put_u32(&out, h.key_len);
+  util::put_u32(&out, h.payload_len);
+  util::put_u64(&out, h.fp);
+  util::put_u64(&out, h.payload_sum);
+  util::put_u64(&out, fnv1a64(out.data(), out.size()));
+  return out;
 }
 
-// Validates magic + header checksum + length sanity; false on any damage.
+// Validates magic + header checksum + length sanity (`in` holds at least
+// kHeaderSize bytes); false on any damage, *h untouched.
 bool decode_header(const unsigned char* in, Header* h) {
   if (std::memcmp(in, kMagic, 4) != 0) return false;
-  if (get_u64(in + 28) != fnv1a64(in, 28)) return false;
-  h->key_len = get_u32(in + 4);
-  h->payload_len = get_u32(in + 8);
-  h->fp = get_u64(in + 12);
-  h->payload_sum = get_u64(in + 20);
-  return h->key_len <= kMaxKeyLen && h->payload_len <= kMaxPayloadLen;
+  util::ByteReader r(in + 4, kHeaderSize - 4);
+  Header d;
+  std::uint64_t sum = 0;
+  if (!r.u32(&d.key_len) || !r.u32(&d.payload_len) || !r.u64(&d.fp) ||
+      !r.u64(&d.payload_sum) || !r.u64(&sum) ||
+      sum != fnv1a64(in, kHeaderSize - 8) || d.key_len > kMaxKeyLen ||
+      d.payload_len > kMaxPayloadLen) {
+    return false;
+  }
+  *h = d;
+  return true;
 }
 
 std::uint64_t record_size(const Header& h) {
   return kHeaderSize + h.key_len + h.payload_len;
 }
 
-bool read_all(int fd, std::uint64_t offset, void* buf, std::size_t n) {
-  auto* p = static_cast<unsigned char*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::pread(fd, p, n, static_cast<off_t>(offset));
-    if (r <= 0) return false;
-    p += r;
-    offset += static_cast<std::uint64_t>(r);
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-bool write_all(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(buf);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w <= 0) return false;
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
+// True iff `fd` is still the file at `path` (neither removed nor replaced
+// by another process's compaction); *st receives fd's stat.
+bool is_file_at(int fd, const std::string& path, struct stat* st) {
+  struct stat on_disk;
+  return fd >= 0 && ::stat(path.c_str(), &on_disk) == 0 &&
+         ::fstat(fd, st) == 0 && st->st_ino == on_disk.st_ino &&
+         st->st_dev == on_disk.st_dev;
 }
 
 // Scoped flock(): serializes appends and compaction across processes.
@@ -195,11 +172,8 @@ void CachePack::open_locked(bool dir_lock_held) {
   // lock and reopen so the scan/eviction below never operate on
   // (or write into) a stale unlinked inode.  Converges immediately: while
   // we hold the lock nobody else can replace the pack.
-  struct stat on_disk;
   struct stat ours;
-  if (::stat(pack_path_.c_str(), &on_disk) != 0 ||
-      ::fstat(fd_, &ours) != 0 || ours.st_ino != on_disk.st_ino ||
-      ours.st_dev != on_disk.st_dev) {
+  if (!is_file_at(fd_, pack_path_, &ours)) {
     ::close(fd_);
     fd_ = ::open(pack_path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
     if (fd_ < 0) return;
@@ -216,14 +190,8 @@ void CachePack::open_locked(bool dir_lock_held) {
 // triggers a full reopen; a grown pack gets its new tail scanned so
 // records appended by other processes survive our compaction.
 void CachePack::resync_locked() {
-  struct stat on_disk;
   struct stat ours;
-  const bool same_file = fd_ >= 0 &&
-                         ::stat(pack_path_.c_str(), &on_disk) == 0 &&
-                         ::fstat(fd_, &ours) == 0 &&
-                         ours.st_ino == on_disk.st_ino &&
-                         ours.st_dev == on_disk.st_dev;
-  if (!same_file ||
+  if (!is_file_at(fd_, pack_path_, &ours) ||
       static_cast<std::uint64_t>(ours.st_size) < pack_size_) {
     open_locked(/*dir_lock_held=*/true);
     return;
@@ -325,14 +293,8 @@ CachePack& CachePack::instance(const std::string& dir) {
 // fd_ (removed or atomically replaced by another process's compaction).
 // Returns true when a usable pack is open.
 bool CachePack::reopen_if_stale_locked() {
-  struct stat on_disk;
-  if (fd_ >= 0 && ::stat(pack_path_.c_str(), &on_disk) == 0) {
-    struct stat ours;
-    if (::fstat(fd_, &ours) == 0 && ours.st_ino == on_disk.st_ino &&
-        ours.st_dev == on_disk.st_dev) {
-      return true;
-    }
-  }
+  struct stat ours;
+  if (is_file_at(fd_, pack_path_, &ours)) return true;
   open_locked(/*dir_lock_held=*/false);
   return fd_ >= 0;
 }
@@ -404,22 +366,18 @@ void CachePack::append_record_locked(std::uint64_t fp, const std::string& key,
   h.payload_len = static_cast<std::uint32_t>(payload.size());
   h.fp = fp;
   h.payload_sum = fnv1a64(payload.data(), payload.size());
-  std::vector<unsigned char> rec(record_size(h));
-  encode_header(h, rec.data());
-  // lint: allow(wire-safety): encode side; rec is sized record_size(h) and key_len is clamped to kMaxKeyLen above
-  std::memcpy(rec.data() + kHeaderSize, key.data(), h.key_len);
-  // lint: allow(wire-safety): encode side; payload_len is payload.size(), copied into the record_size(h) buffer
-  std::memcpy(rec.data() + kHeaderSize + h.key_len, payload.data(),
-              h.payload_len);
+  std::string rec = encode_header(h);
+  rec.append(key, 0, h.key_len);
+  rec += payload;
 
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0) return;
-  if (!write_all(fd_, rec.data(), rec.size())) {
-    // Torn append (e.g. disk full): trim it so the pack tail stays clean.
+  if (!write_all(fd_, rec.data(), rec.size()) || ::fsync(fd_) != 0) {
+    // Torn or unsynced append (e.g. disk full, I/O error): trim it so the
+    // pack tail stays clean and nothing undurable gets indexed.
     if (::ftruncate(fd_, end) != 0) { /* scan quarantines the tail */ }
     return;
   }
-  ::fsync(fd_);
 
   Entry e;
   e.offset = static_cast<std::uint64_t>(end);
@@ -448,33 +406,25 @@ void CachePack::append_index_line_locked(std::uint64_t fp,
 }
 
 // Rewrites the advisory index to one line per live entry (caller holds
-// the directory flock); tmp file + atomic rename so readers never see a
-// half-written index.
+// the directory flock) through the atomic writer, so readers never see a
+// half-written index.  Best effort: on failure the old index stays.
 void CachePack::rewrite_index_locked() {
-  const std::string tmp_idx = index_path_ + ".tmp";
-  {
-    std::ofstream idx(tmp_idx, std::ios::trunc);
-    if (!idx) return;
-    for (const auto& [fp, e] : entries_) {
-      char line[64];
-      std::snprintf(line, sizeof(line), "%016llx %llu\n",
-                    static_cast<unsigned long long>(fp),
-                    static_cast<unsigned long long>(e.clock));
-      idx << line;
-    }
+  std::string idx;
+  for (const auto& [fp, e] : entries_) {
+    char line[64];
+    const int n = std::snprintf(line, sizeof(line), "%016llx %llu\n",
+                                static_cast<unsigned long long>(fp),
+                                static_cast<unsigned long long>(e.clock));
+    idx.append(line, static_cast<std::size_t>(n));
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp_idx, index_path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_idx, ec);
-    return;
+  if (util::write_file_atomic(index_path_, idx)) {
+    index_lines_ = entries_.size();
   }
-  index_lines_ = entries_.size();
 }
 
 // LRU eviction by byte budget: when the pack outgrows max_bytes_, keep
 // the most recently used records that fit (always at least the newest)
-// and compact pack + index via tmp file + atomic rename.
+// and compact pack + index through the atomic writer.
 void CachePack::maybe_evict_locked() {
   if (max_bytes_ == 0 || pack_size_ <= max_bytes_ || fd_ < 0) return;
   compact_locked(max_bytes_);
@@ -493,50 +443,34 @@ void CachePack::compact_locked(std::uint64_t budget) {
   for (const auto& [fp, e] : entries_) by_use.emplace_back(e.clock, fp);
   std::sort(by_use.rbegin(), by_use.rend());
 
-  const std::string tmp_pack = pack_path_ + ".tmp";
-  const int out = ::open(tmp_pack.c_str(),
-                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (out < 0) return;
-
+  // Streams record by record: the compacted pack is never buffered whole.
   std::map<std::uint64_t, Entry> kept;
   std::uint64_t used = 0;
   std::size_t dropped = 0;
-  bool ok = true;
-  for (std::size_t i = 0; i < by_use.size() && ok; ++i) {
-    const std::uint64_t fp = by_use[i].second;
-    const Entry& e = entries_[fp];
-    const std::uint64_t rec_len = kHeaderSize + e.key_len + e.payload_len;
-    if (budget != 0 && i > 0 && used + rec_len > budget) {
-      ++dropped;
-      continue;
-    }
-    std::vector<unsigned char> rec(rec_len);
-    Header h;
-    if (!read_all(fd_, e.offset, rec.data(), rec.size()) ||
-        !decode_header(rec.data(), &h) || h.fp != fp) {
-      ++dropped;  // damaged since open: evict rather than copy garbage
-      continue;
-    }
-    Entry ne = e;
-    ne.offset = used;
-    ok = write_all(out, rec.data(), rec.size());
-    if (ok) {
-      kept[fp] = ne;
+  const auto fill = [&](int out) {
+    for (std::size_t i = 0; i < by_use.size(); ++i) {
+      const std::uint64_t fp = by_use[i].second;
+      const Entry& e = entries_[fp];
+      const std::uint64_t rec_len = kHeaderSize + e.key_len + e.payload_len;
+      if (budget != 0 && i > 0 && used + rec_len > budget) {
+        ++dropped;
+        continue;
+      }
+      std::vector<unsigned char> rec(rec_len);
+      Header h;
+      if (!read_all(fd_, e.offset, rec.data(), rec.size()) ||
+          !decode_header(rec.data(), &h) || h.fp != fp) {
+        ++dropped;  // damaged since open: evict rather than copy garbage
+        continue;
+      }
+      if (!write_all(out, rec.data(), rec.size())) return false;
+      kept[fp] = e;
+      kept[fp].offset = used;
       used += rec_len;
     }
-  }
-  ::fsync(out);
-  ::close(out);
-  std::error_code ec;
-  if (!ok) {
-    std::filesystem::remove(tmp_pack, ec);
-    return;
-  }
-  std::filesystem::rename(tmp_pack, pack_path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_pack, ec);
-    return;
-  }
+    return true;
+  };
+  if (!util::write_file_atomic(pack_path_, fill)) return;
 
   // Swap in the compacted pack, then rewrite the index to one line per
   // surviving record.

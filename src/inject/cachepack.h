@@ -36,7 +36,7 @@
 //
 // Eviction: when the pack exceeds `max_bytes` (CLEAR_CACHE_MAX_BYTES,
 // 0 = unlimited), the least-recently-used records are dropped and the pack
-// + index are compacted via tmp-file + atomic rename.
+// + index are compacted via util::write_file_atomic.
 
 #ifndef CLEAR_INJECT_CACHEPACK_H
 #define CLEAR_INJECT_CACHEPACK_H
@@ -91,7 +91,7 @@ class CachePack {
   void put(std::uint64_t fp, const std::string& key,
            const std::string& payload);
 
-  // Rewrites the pack immediately (tmp file + atomic rename), reclaiming
+  // Rewrites the pack immediately (util::write_file_atomic), reclaiming
   // bytes of superseded re-puts and quarantined regions.  max_bytes > 0
   // additionally evicts least-recently-used records until the survivors
   // fit the budget (the same policy CLEAR_CACHE_MAX_BYTES applies on

@@ -2,11 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "util/bytes.h"
+#include "util/fs.h"
 
 namespace clear::inject {
 
@@ -234,28 +233,15 @@ WireStatus decode_shard(const std::string& bytes, ShardFile* out) {
 }
 
 void write_shard_file(const std::string& path, const ShardFile& shard) {
-  const std::string bytes = encode_shard(shard);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(bytes.data(),
-                           static_cast<std::streamsize>(bytes.size()))) {
-      throw std::runtime_error("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("cannot rename into place: " + path);
+  std::string error;
+  if (!util::write_file_atomic(path, encode_shard(shard), &error)) {
+    throw std::runtime_error(error);
   }
 }
 
 WireStatus load_shard_file(const std::string& path, ShardFile* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return WireStatus::kTruncated;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!util::read_file(path, &bytes)) return WireStatus::kTruncated;
   return decode_shard(bytes, out);
 }
 

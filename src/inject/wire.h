@@ -128,8 +128,8 @@ struct ShardFile {
 [[nodiscard]] WireStatus decode_shard(const std::string& bytes,
                                       ShardFile* out);
 
-// File I/O wrappers.  write_shard_file() writes via tmp-file + atomic
-// rename so a crash never leaves a torn .csr in place; it throws
+// File I/O wrappers.  write_shard_file() writes via util::write_file_atomic
+// so a crash never leaves a torn .csr in place; it throws
 // std::runtime_error when the path is unwritable.  load_shard_file()
 // returns kTruncated for an unreadable/missing path.
 void write_shard_file(const std::string& path, const ShardFile& shard);

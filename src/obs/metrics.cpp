@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "util/bytes.h"
 #include "util/env.h"
+#include "util/fs.h"
 
 namespace clear::obs {
 
@@ -239,10 +239,7 @@ bool write_json_file(const Snapshot& s, const std::string& path) {
     std::cout << json;
     return true;
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << json;
-  return static_cast<bool>(out.flush());
+  return util::write_file_atomic(path, json);
 }
 
 std::string encode_snapshot(const Snapshot& s) {

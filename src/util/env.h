@@ -9,11 +9,6 @@
 //                               (0 = unlimited; accepts K/M/G suffixes)
 //   CLEAR_CHECKPOINT          - 0 forces the legacy from-cycle-0 injection
 //                               path (default 1: checkpoint/fork engine)
-//   CLEAR_EXPLORE_BATCH       - combos per design-space-exploration
-//                               scheduling batch (default 64)
-//   CLEAR_EXPLORE_PIPELINE    - 0 disables exploration batch pipelining
-//                               (profile batch N+1 while evaluating batch
-//                               N; default 1, bit-identical either way)
 //   CLEAR_ENGINE_ASYNC        - 0 executes engine submissions inline on
 //                               the calling thread (debugging aid)
 //   CLEAR_ENGINE_QUEUE_MAX    - refuse engine submissions while this many

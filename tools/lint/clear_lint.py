@@ -16,6 +16,9 @@ matrices can only catch after the fact, and only on exercised paths:
                 files are findings, and CSV1 frames are read only through
                 serve::FrameConn (decode_frame/recv_some calls outside
                 engine/protocol.cpp and util/socket.cpp are findings).
+                Files are replaced only through util::write_file_atomic
+                (rename( / ios::trunc / O_TRUNC outside util/fs.{h,cpp}
+                are findings).
   fail-closed   switch dispatch over a wire-decoded discriminant
                 (version, frame type, ack status, ...) must carry a
                 refusing default: an unknown value is an error, never a
@@ -64,7 +67,7 @@ import sys
 # changes.  `clear version --json` reports the same number (kept in sync
 # by the lint self-test), so CI artifacts record which invariant set
 # vetted a build.
-CHECKER_SET_VERSION = 2
+CHECKER_SET_VERSION = 3
 
 try:  # pragma: no cover - environment dependent
     import clang.cindex  # type: ignore
@@ -317,6 +320,14 @@ FRAME_LOOP_HOME_RE = re.compile(r"^src/(?:engine/protocol|util/socket)\."
                                 r"(?:h|cpp)$")
 _FRAME_LOOP_RE = re.compile(r"\b(?:decode_frame|recv_some)\s*\(")
 
+# One atomic-file writer: util::write_file_atomic (util/fs.cpp) is the
+# only src/ code that renames a file into place or truncates one; a
+# hand-rolled tmp+rename or an in-place truncating write skips its fsyncs,
+# checks and non-regular-file refusal.
+ATOMIC_WRITER_HOME_RE = re.compile(r"^src/util/fs\.(?:h|cpp)$")
+_FILE_REPLACE_RE = re.compile(
+    r"\brename\s*\(|\bios(?:_base)?::trunc\b|\bO_TRUNC\b")
+
 
 def check_wire_safety(files):
     findings = []
@@ -329,6 +340,14 @@ def check_wire_safety(files):
                         sf.relpath, i, "wire-safety",
                         "hand-written CSV1 receive loop: read frames "
                         "through serve::FrameConn (engine/protocol.h)"))
+        if sf.relpath.startswith("src/") and \
+                not ATOMIC_WRITER_HOME_RE.search(sf.relpath):
+            for i, code in enumerate(sf.code_lines, start=1):
+                if _FILE_REPLACE_RE.search(code):
+                    findings.append(Finding(
+                        sf.relpath, i, "wire-safety",
+                        "file replaced or truncated by hand: write it "
+                        "through util::write_file_atomic (util/fs.h)"))
         if not WIRE_FILE_RE.search(sf.relpath):
             continue
         for i, code in enumerate(sf.code_lines, start=1):

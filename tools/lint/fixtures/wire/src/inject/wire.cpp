@@ -1,7 +1,7 @@
-// Seeded wire-safety violations: raw decodes of payload bytes and a
-// hand-written CSV1 frame loop that must each be caught (this path
-// matches the checker's wire-file set).  The annotated site must NOT be
-// reported.
+// Seeded wire-safety violations: raw decodes of payload bytes, a
+// hand-written CSV1 frame loop and a hand-rolled file replacement that
+// must each be caught (this path matches the checker's wire-file set).
+// The annotated site must NOT be reported.
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -34,6 +34,13 @@ bool annotated_decode(const std::string& payload, std::uint64_t* out) {
 bool hand_rolled_frame_loop(std::string* rx, Frame* frame) {
   // VIOLATION CSV1 frames decoded outside serve::FrameConn
   return decode_frame(rx, frame) == FrameStatus::kOk;
+}
+
+bool hand_rolled_replace(const std::string& tmp, const std::string& path) {
+  // VIOLATION truncating open outside util::write_file_atomic
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  // VIOLATION tmp renamed into place outside util::write_file_atomic
+  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace fixture
